@@ -142,7 +142,7 @@ def _query_all(sessions) -> int:
 
 
 def test_bench_session_cold_vs_memoized(benchmark, monkeypatch):
-    monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "0")
+    monkeypatch.setenv("REPRO_CACHE", "0")
     sessions = _fresh_sessions()
 
     def cold_then_memoized():
@@ -163,8 +163,7 @@ def test_bench_session_disk_cache(
     benchmark, tmp_path_factory, monkeypatch
 ):
     directory = tmp_path_factory.mktemp("analysis-cache")
-    monkeypatch.setenv("REPRO_ANALYSIS_CACHE_DIR", str(directory))
-    monkeypatch.delenv("REPRO_ANALYSIS_CACHE", raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(directory))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     _query_all(_fresh_sessions())  # populate the store
 

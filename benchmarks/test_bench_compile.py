@@ -78,8 +78,7 @@ def test_bench_codegen(benchmark, name, tmp_path_factory, monkeypatch):
     from repro.suite import load_program
 
     monkeypatch.setenv(
-        "REPRO_CODEGEN_CACHE_DIR",
-        str(tmp_path_factory.mktemp(f"codegen-{name}")),
+        "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp(f"codegen-{name}"))
     )
     program = load_program(name)  # frontend outside the measured region
 
@@ -102,8 +101,7 @@ def test_bench_execution(benchmark, name, tmp_path_factory, monkeypatch):
     from repro.suite import load_program, program_inputs, run_on_input
 
     monkeypatch.setenv(
-        "REPRO_CODEGEN_CACHE_DIR",
-        str(tmp_path_factory.mktemp(f"exec-{name}")),
+        "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp(f"exec-{name}"))
     )
     program = load_program(name)
     stdin = program_inputs(name)[0]
@@ -133,13 +131,14 @@ def test_bench_cached_load(benchmark, name, tmp_path_factory, monkeypatch):
     from repro.compile.lower import lower_program
     from repro.suite import load_program, program_source
 
-    directory = str(tmp_path_factory.mktemp(f"load-{name}"))
-    monkeypatch.setenv("REPRO_CODEGEN_CACHE_DIR", directory)
+    monkeypatch.setenv(
+        "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp(f"load-{name}"))
+    )
     program = load_program(name)
     lowered = lower_program(program)
     key = codegen_cache.codegen_cache_key(program_source(name))
     code = compile(lowered.source, f"<{name}>", "exec")
-    codegen_cache.store_code(key, lowered.source, code, directory)
+    codegen_cache.store_code(key, lowered.source, code)
 
     loaded = run_once(
         benchmark,
@@ -147,7 +146,6 @@ def test_bench_cached_load(benchmark, name, tmp_path_factory, monkeypatch):
             f"cached_load_{name}",
             codegen_cache.load_cached_code,
             key,
-            directory,
         ),
     )
     assert loaded is not None

@@ -110,27 +110,19 @@ def _timed(name: str, backend: str, function, *args, **kwargs):
     return result
 
 
-def _fresh_cache(tmp_path_factory, monkeypatch, label: str) -> str:
-    directory = tmp_path_factory.mktemp(label)
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(directory))
-    return str(directory)
-
-
-def _fresh_codegen_cache(tmp_path_factory, monkeypatch, label: str) -> str:
-    directory = tmp_path_factory.mktemp(label)
-    monkeypatch.setenv("REPRO_CODEGEN_CACHE_DIR", str(directory))
-    return str(directory)
+def _fresh_cache(tmp_path_factory, monkeypatch, label: str) -> None:
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp(label)))
 
 
 def test_bench_suite_cold_serial(
     benchmark, tmp_path_factory, monkeypatch
 ):
-    from repro.profiles import cache_info
+    from repro.profiles import cache as profile_cache
     from repro.suite import clear_caches, collect_suite_profiles
 
     names = _bench_names()
     monkeypatch.setenv("REPRO_BACKEND", "interp")
-    directory = _fresh_cache(tmp_path_factory, monkeypatch, "cold-serial")
+    _fresh_cache(tmp_path_factory, monkeypatch, "cold-serial")
     clear_caches()
     profiles = run_once(
         benchmark,
@@ -143,7 +135,7 @@ def test_bench_suite_cold_serial(
         ),
     )
     assert len(profiles) == len(names)
-    assert cache_info(directory)["entries"] == sum(
+    assert profile_cache.NAMESPACE.info()["entries"] == sum(
         len(p) for p in profiles.values()
     )
 
@@ -204,7 +196,6 @@ def test_bench_suite_cold_compiled(
     names = _bench_names()
     monkeypatch.setenv("REPRO_BACKEND", "compiled")
     _fresh_cache(tmp_path_factory, monkeypatch, "cold-compiled")
-    _fresh_codegen_cache(tmp_path_factory, monkeypatch, "codegen-cold")
     clear_caches()
     profiles = run_once(
         benchmark,
@@ -234,15 +225,15 @@ def test_bench_suite_cold_compiled_warm_codegen(
 ):
     """Compiled backend with a primed codegen cache: profiles are still
     computed from scratch, but generated modules load from disk."""
+    from repro.profiles import cache as profile_cache
     from repro.suite import clear_caches, collect_suite_profiles
 
     names = _bench_names()
     monkeypatch.setenv("REPRO_BACKEND", "compiled")
-    _fresh_codegen_cache(tmp_path_factory, monkeypatch, "codegen-warm")
     _fresh_cache(tmp_path_factory, monkeypatch, "compiled-prime")
     clear_caches()
     collect_suite_profiles(names, jobs=1)  # prime the codegen cache
-    _fresh_cache(tmp_path_factory, monkeypatch, "compiled-rerun")
+    profile_cache.NAMESPACE.clear()  # keep codegen, drop the profiles
     clear_caches()
     profiles = run_once(
         benchmark,

@@ -6,20 +6,16 @@ the benchmarks — talks to a per-program :class:`AnalysisSession`
 (branch predictions, per-block transition probabilities, intra
 estimates, call-graph invocation estimates, call-site frequencies)
 exactly once per (program, estimator) pair and hands the cached result
-to every caller.  An optional on-disk layer
-(:mod:`repro.analysis.cache`) persists the computed estimates alongside
-the PR-1 profile cache, keyed by a content hash of the source, so
+to every caller.  An on-disk layer (:mod:`repro.analysis.cache`)
+persists the computed estimates in the shared store
+(:mod:`repro.store`), keyed by a content hash of the source, so
 separate processes (parallel experiment workers, repeated CLI runs)
 share the analysis work too.
 """
 
 from repro.analysis.cache import (
     ANALYSIS_VERSION,
-    analysis_cache_dir,
-    analysis_cache_enabled,
-    analysis_cache_info,
     analysis_cache_key,
-    clear_analysis_cache,
     load_cached_analysis,
     store_analysis,
 )
@@ -40,11 +36,7 @@ __all__ = [
     "AnalysisSession",
     "MemoizedPredictor",
     "SessionStats",
-    "analysis_cache_dir",
-    "analysis_cache_enabled",
-    "analysis_cache_info",
     "analysis_cache_key",
-    "clear_analysis_cache",
     "clear_sessions",
     "load_cached_analysis",
     "record_stage",

@@ -4,165 +4,85 @@ The in-process :class:`~repro.analysis.session.AnalysisSession` memo
 makes each analysis free after its first computation *within* a
 process; this layer extends that across processes — parallel experiment
 workers, repeated CLI invocations, the pytest tier, and the benchmark
-harness all share one store, exactly as they share the PR-1 profile
-cache.
+harness all share one store, exactly as they share the profile cache.
 
-Layout mirrors the profile cache: one JSON file per entry under a
-directory, keyed by a SHA-256 content hash over
+Entries live in the ``analysis/`` namespace of :mod:`repro.store`, one
+JSON file each, keyed by a SHA-256 content hash over
 
-* the program's full C source text (analysis inputs are derived from
-  the source deterministically, so the source hash covers the CFGs,
-  the call graph, and the heuristic settings),
-* the artifact kind and estimator name (e.g. ``intra:markov`` or
-  ``inter:markov:smart``),
 * the analysis semantics version (:data:`ANALYSIS_VERSION` — bump when
   a heuristic, CFG construction, or solver change invalidates stored
-  estimates), and
-* the package version.
-
-Environment knobs:
-
-* ``REPRO_ANALYSIS_CACHE_DIR`` — cache directory.  Defaults to an
-  ``analysis/`` subdirectory of the profile cache directory, so
-  pointing ``REPRO_CACHE_DIR`` somewhere hermetic (as the test suite
-  does) isolates both caches at once.
-* ``REPRO_ANALYSIS_CACHE=0`` — disable just this layer;
-  ``REPRO_CACHE=0`` disables it together with the profile cache.
+  estimates),
+* the package version,
+* the artifact kind and estimator name (e.g. ``intra`` + ``markov`` or
+  ``inter`` + ``markov:smart``), and
+* the program's full C source text (analysis inputs are derived from
+  the source deterministically, so the source hash covers the CFGs,
+  the call graph, and the heuristic settings).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import tempfile
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 import repro
-from repro.obs import incr
-from repro.profiles import cache as profile_cache
+from repro.store import Namespace, content_key
 
 #: Bump when analysis semantics change (heuristics, CFG construction,
 #: estimator algorithms, solver behavior) so stale entries miss.
 ANALYSIS_VERSION = 1
 
-_FALSEY = {"0", "no", "off", "false", ""}
+NAMESPACE = Namespace("analysis", (".json",), "analysis_cache")
 
-
-def analysis_cache_enabled() -> bool:
-    """Whether the analysis layer is on.
-
-    ``REPRO_CACHE=0`` turns off all persistent caching;
-    ``REPRO_ANALYSIS_CACHE=0`` turns off just this layer.
-    """
-    if not profile_cache.cache_enabled():
-        return False
-    knob = os.environ.get("REPRO_ANALYSIS_CACHE", "1").strip().lower()
-    return knob not in _FALSEY
-
-
-def analysis_cache_dir() -> str:
-    """The analysis cache directory (not necessarily created yet)."""
-    explicit = os.environ.get("REPRO_ANALYSIS_CACHE_DIR")
-    if explicit:
-        return explicit
-    return os.path.join(profile_cache.cache_dir(), "analysis")
+T = TypeVar("T")
 
 
 def analysis_cache_key(source: str, kind: str, estimator: str) -> str:
     """Content hash identifying one (program, artifact) analysis."""
-    hasher = hashlib.sha256()
-    for part in (
+    return content_key(
         f"analysis={ANALYSIS_VERSION}",
         f"package={repro.__version__}",
         kind,
         estimator,
         source,
-    ):
-        encoded = part.encode("utf-8")
-        hasher.update(str(len(encoded)).encode("ascii"))
-        hasher.update(b":")
-        hasher.update(encoded)
-    return hasher.hexdigest()
-
-
-def _entry_path(key: str, directory: Optional[str] = None) -> str:
-    return os.path.join(directory or analysis_cache_dir(), f"{key}.json")
+    )
 
 
 def load_cached_analysis(
-    key: str, directory: Optional[str] = None
-) -> Optional[dict]:
-    """The cached payload for ``key``, or None on a miss.
-
-    Unreadable entries count as misses; a later store overwrites them.
-    """
-    try:
-        with open(_entry_path(key, directory), encoding="utf-8") as handle:
-            text = handle.read()
-        payload = json.loads(text)
-    except (OSError, ValueError):
-        incr("analysis_cache.misses")
-        return None
-    if not isinstance(payload, dict):
-        incr("analysis_cache.misses")
-        return None
-    incr("analysis_cache.hits")
-    incr("analysis_cache.bytes_read", len(text))
-    return payload
+    key: str, decode: Callable[[dict], T]
+) -> Optional[T]:
+    """``decode`` of the cached JSON payload for ``key``, or None on a
+    miss (absent, unreadable, or rejected by ``decode``)."""
+    return NAMESPACE.load(key, lambda data: decode(json.loads(data)))
 
 
-def store_analysis(
-    key: str, payload: dict, directory: Optional[str] = None
-) -> str:
-    """Atomically write ``payload`` under ``key``; returns the path.
-
-    Same tempfile + ``os.replace`` discipline as the profile cache, so
-    parallel experiment workers can race on a key without corruption.
-    """
-    directory = directory or analysis_cache_dir()
-    os.makedirs(directory, exist_ok=True)
-    path = _entry_path(key, directory)
+def store_analysis(key: str, payload: dict) -> None:
+    """Atomically write the JSON object ``payload`` under ``key``."""
     encoded = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    incr("analysis_cache.stores")
-    incr("analysis_cache.bytes_written", len(encoded))
-    fd, temp_path = tempfile.mkstemp(
-        prefix=f".{key[:16]}-", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(encoded)
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-    return path
+    NAMESPACE.store(key, encoded.encode("utf-8"))
 
 
-def analysis_cache_info(directory: Optional[str] = None) -> dict[str, object]:
-    """Summary of the analysis cache: directory, entries, total bytes,
-    and the oldest/newest entry mtimes (Unix seconds, None if empty)."""
-    directory = directory or analysis_cache_dir()
-    summary = profile_cache.scan_cache_entries(directory)
-    summary["enabled"] = analysis_cache_enabled()
-    return summary
+def encode_intra(estimates: dict[str, dict[int, float]]) -> dict:
+    """Intra estimates as a JSON payload (block ids become strings)."""
+    return {
+        "functions": {
+            name: {str(block): value for block, value in blocks.items()}
+            for name, blocks in estimates.items()
+        }
+    }
 
 
-def clear_analysis_cache(directory: Optional[str] = None) -> int:
-    """Delete every analysis entry; returns how many were removed."""
-    directory = directory or analysis_cache_dir()
-    removed = 0
-    if not os.path.isdir(directory):
-        return 0
-    for name in os.listdir(directory):
-        if not (name.endswith(".json") or name.endswith(".tmp")):
-            continue
-        try:
-            os.unlink(os.path.join(directory, name))
-            removed += 1
-        except OSError:
-            pass
-    return removed
+def decode_intra(payload: dict) -> dict[str, dict[int, float]]:
+    """Inverse of :func:`encode_intra`; raises on a wrong shape."""
+    return {
+        name: {int(block): float(value) for block, value in blocks.items()}
+        for name, blocks in payload["functions"].items()
+    }
+
+
+def decode_invocations(payload: dict) -> dict[str, float]:
+    """Markov invocations from their ``{"invocations": ...}`` payload;
+    raises on a wrong shape."""
+    return {
+        name: float(value) for name, value in payload["invocations"].items()
+    }

@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro import store
 from repro.analysis import cache as analysis_cache
 from repro.cfg.block import BasicBlock, CondBranch, SwitchBranch
 from repro.obs import histogram_sums, incr, observe, span
@@ -217,7 +218,9 @@ class AnalysisSession:
             if cached is None:
                 self.stats.misses += 1
                 incr("analysis.memo_misses")
-                cached = self._load_intra_from_disk(estimator)
+                cached = self._load_from_disk(
+                    "intra", estimator, analysis_cache.decode_intra
+                )
                 if cached is None:
                     with span(
                         "analysis.intra",
@@ -230,7 +233,9 @@ class AnalysisSession:
                             f"intra:{estimator}",
                             time.perf_counter() - clock,
                         )
-                    self._store_intra_to_disk(estimator, cached)
+                    self._store_to_disk(
+                        "intra", estimator, analysis_cache.encode_intra(cached)
+                    )
                 self._intra[estimator] = cached
             else:
                 self.stats.hits += 1
@@ -257,54 +262,27 @@ class AnalysisSession:
             for name in self.program.function_names
         }
 
-    def _load_intra_from_disk(
-        self, estimator: str
-    ) -> Optional[dict[str, dict[int, float]]]:
-        if not self.program.source or not analysis_cache.analysis_cache_enabled():
+    def _load_from_disk(self, kind: str, name: str, decode):
+        """A stored artifact covering this program's functions, or
+        None (caching off, no source text, a miss, or a stale entry)."""
+        if not self.program.source or not store.enabled():
             return None
-        payload = analysis_cache.load_cached_analysis(
-            analysis_cache.analysis_cache_key(
-                self.program.source, "intra", estimator
-            )
+        value = analysis_cache.load_cached_analysis(
+            analysis_cache.analysis_cache_key(self.program.source, kind, name),
+            decode,
         )
-        if payload is None or not isinstance(
-            payload.get("functions"), dict
-        ):
-            return None
-        try:
-            estimates = {
-                name: {
-                    int(block_id): float(value)
-                    for block_id, value in blocks.items()
-                }
-                for name, blocks in payload["functions"].items()
-            }
-        except (AttributeError, TypeError, ValueError):
-            return None
         # A stale entry for a different function set must not survive.
-        if set(estimates) != set(self.program.function_names):
+        if value is None or set(value) != set(self.program.function_names):
             return None
         self.stats.disk_hits += 1
-        return estimates
+        return value
 
-    def _store_intra_to_disk(
-        self, estimator: str, estimates: dict[str, dict[int, float]]
-    ) -> None:
-        if not self.program.source or not analysis_cache.analysis_cache_enabled():
+    def _store_to_disk(self, kind: str, name: str, payload: dict) -> None:
+        if not self.program.source or not store.enabled():
             return
         analysis_cache.store_analysis(
-            analysis_cache.analysis_cache_key(
-                self.program.source, "intra", estimator
-            ),
-            {
-                "functions": {
-                    name: {
-                        str(block_id): value
-                        for block_id, value in blocks.items()
-                    }
-                    for name, blocks in estimates.items()
-                }
-            },
+            analysis_cache.analysis_cache_key(self.program.source, kind, name),
+            payload,
         )
         self.stats.disk_stores += 1
 
@@ -319,14 +297,20 @@ class AnalysisSession:
         combiners (``call_site``, ``direct``, ``all_rec``,
         ``all_rec2``)."""
         key = (backend, estimator)
+        # Only the Markov backend is worth persisting: the simple
+        # combiners are a linear pass over already-memoized estimates.
+        persisted = backend == "markov"
         with self._lock:
             cached = self._invocations.get(key)
             if cached is None:
                 self.stats.misses += 1
                 incr("analysis.memo_misses")
-                cached = self._load_invocations_from_disk(
-                    backend, estimator
-                )
+                if persisted:
+                    cached = self._load_from_disk(
+                        "inter",
+                        f"{backend}:{estimator}",
+                        analysis_cache.decode_invocations,
+                    )
                 if cached is None:
                     # Intra estimates are a separate (memoized and
                     # separately timed) stage; compute them first so
@@ -357,59 +341,17 @@ class AnalysisSession:
                             f"inter:{backend}",
                             time.perf_counter() - clock,
                         )
-                    self._store_invocations_to_disk(
-                        backend, estimator, cached
-                    )
+                    if persisted:
+                        self._store_to_disk(
+                            "inter",
+                            f"{backend}:{estimator}",
+                            {"invocations": cached},
+                        )
                 self._invocations[key] = cached
             else:
                 self.stats.hits += 1
                 incr("analysis.memo_hits")
             return dict(cached)
-
-    def _load_invocations_from_disk(
-        self, backend: str, estimator: str
-    ) -> Optional[dict[str, float]]:
-        # Only the Markov backend is worth persisting: the simple
-        # combiners are a linear pass over already-memoized estimates.
-        if backend != "markov":
-            return None
-        if not self.program.source or not analysis_cache.analysis_cache_enabled():
-            return None
-        payload = analysis_cache.load_cached_analysis(
-            analysis_cache.analysis_cache_key(
-                self.program.source, "inter", f"{backend}:{estimator}"
-            )
-        )
-        if payload is None or not isinstance(
-            payload.get("invocations"), dict
-        ):
-            return None
-        try:
-            invocations = {
-                name: float(value)
-                for name, value in payload["invocations"].items()
-            }
-        except (TypeError, ValueError):
-            return None
-        if set(invocations) != set(self.program.function_names):
-            return None
-        self.stats.disk_hits += 1
-        return invocations
-
-    def _store_invocations_to_disk(
-        self, backend: str, estimator: str, invocations: dict[str, float]
-    ) -> None:
-        if backend != "markov":
-            return
-        if not self.program.source or not analysis_cache.analysis_cache_enabled():
-            return
-        analysis_cache.store_analysis(
-            analysis_cache.analysis_cache_key(
-                self.program.source, "inter", f"{backend}:{estimator}"
-            ),
-            {"invocations": invocations},
-        )
-        self.stats.disk_stores += 1
 
     # ------------------------------------------------------------------
     # Global call-site frequencies.

@@ -2,64 +2,37 @@
 
 An explanation is a pure function of (program source, evaluation
 profiles, estimator, attribution semantics), so it caches exactly like
-the analysis artifacts: one JSON file per entry under an
-``attribution/`` sibling of the profile cache, keyed by a SHA-256
+the analysis artifacts: one JSON file per entry in the
+``attribution/`` namespace of :mod:`repro.store`, keyed by a SHA-256
 content hash over
 
-* the program's full C source text,
+* the attribution semantics version (:data:`ATTRIBUTION_VERSION`) and
+  the package version,
+* the estimator name,
+* the program's full C source text, and
 * a digest of every evaluation profile (serialized form — profiles are
   byte-identical across backends and worker counts, so the key is
-  backend- and jobs-invariant),
-* the estimator name,
-* the attribution semantics version (:data:`ATTRIBUTION_VERSION`) and
-  the package version.
-
-Environment knobs, mirroring the analysis cache:
-
-* ``REPRO_ATTRIBUTION_CACHE_DIR`` — cache directory (default:
-  ``attribution/`` under the profile cache directory);
-* ``REPRO_ATTRIBUTION_CACHE=0`` — disable just this layer;
-  ``REPRO_CACHE=0`` disables it with everything else.
-
-``repro cache info|clear`` covers this directory alongside the
-profile/analysis/codegen caches and the fuzz corpus.
+  backend- and jobs-invariant).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 import repro
-from repro.obs import incr
-from repro.profiles import cache as profile_cache
 from repro.profiles.profile import Profile
 from repro.profiles.serialize import dumps_profile
+from repro.store import Namespace, content_key
 
 #: Bump when attribution semantics change (record fields, sensitivity
 #: math, accuracy protocol) so stale entries miss.
 ATTRIBUTION_VERSION = 1
 
-_FALSEY = {"0", "no", "off", "false", ""}
+NAMESPACE = Namespace("attribution", (".json",), "attribution_cache")
 
-
-def attribution_cache_enabled() -> bool:
-    """Whether the attribution cache layer is on."""
-    if not profile_cache.cache_enabled():
-        return False
-    knob = os.environ.get("REPRO_ATTRIBUTION_CACHE", "1").strip().lower()
-    return knob not in _FALSEY
-
-
-def attribution_cache_dir() -> str:
-    """The attribution cache directory (not necessarily created yet)."""
-    explicit = os.environ.get("REPRO_ATTRIBUTION_CACHE_DIR")
-    if explicit:
-        return explicit
-    return os.path.join(profile_cache.cache_dir(), "attribution")
+T = TypeVar("T")
 
 
 def attribution_cache_key(
@@ -67,99 +40,27 @@ def attribution_cache_key(
 ) -> str:
     """Content hash identifying one (program, profiles, estimator)
     explanation."""
-    hasher = hashlib.sha256()
-    parts = [
+    return content_key(
         f"attribution={ATTRIBUTION_VERSION}",
         f"package={repro.__version__}",
         estimator,
         source,
-    ]
-    parts.extend(
-        hashlib.sha256(dumps_profile(p).encode("utf-8")).hexdigest()
-        for p in profiles
-    )
-    for part in parts:
-        encoded = part.encode("utf-8")
-        hasher.update(str(len(encoded)).encode("ascii"))
-        hasher.update(b":")
-        hasher.update(encoded)
-    return hasher.hexdigest()
-
-
-def _entry_path(key: str, directory: Optional[str] = None) -> str:
-    return os.path.join(
-        directory or attribution_cache_dir(), f"{key}.json"
+        *(
+            hashlib.sha256(dumps_profile(p).encode("utf-8")).hexdigest()
+            for p in profiles
+        ),
     )
 
 
 def load_cached_explanation(
-    key: str, directory: Optional[str] = None
-) -> Optional[dict]:
-    """The cached payload for ``key``, or None on a miss."""
-    try:
-        with open(_entry_path(key, directory), encoding="utf-8") as handle:
-            text = handle.read()
-        payload = json.loads(text)
-    except (OSError, ValueError):
-        incr("attribution_cache.misses")
-        return None
-    if not isinstance(payload, dict):
-        incr("attribution_cache.misses")
-        return None
-    incr("attribution_cache.hits")
-    incr("attribution_cache.bytes_read", len(text))
-    return payload
+    key: str, decode: Callable[[dict], T]
+) -> Optional[T]:
+    """``decode`` of the cached JSON payload for ``key``, or None on a
+    miss (absent, unreadable, or rejected by ``decode``)."""
+    return NAMESPACE.load(key, lambda data: decode(json.loads(data)))
 
 
-def store_explanation(
-    key: str, payload: dict, directory: Optional[str] = None
-) -> str:
-    """Atomically write ``payload`` under ``key``; returns the path."""
-    directory = directory or attribution_cache_dir()
-    os.makedirs(directory, exist_ok=True)
-    path = _entry_path(key, directory)
+def store_explanation(key: str, payload: dict) -> None:
+    """Atomically write the JSON object ``payload`` under ``key``."""
     encoded = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    incr("attribution_cache.stores")
-    incr("attribution_cache.bytes_written", len(encoded))
-    fd, temp_path = tempfile.mkstemp(
-        prefix=f".{key[:16]}-", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(encoded)
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-    return path
-
-
-def attribution_cache_info(
-    directory: Optional[str] = None,
-) -> dict[str, object]:
-    """Summary of the attribution cache: directory, entries, total
-    bytes, oldest/newest entry mtimes (the ``repro cache info`` row)."""
-    directory = directory or attribution_cache_dir()
-    summary = profile_cache.scan_cache_entries(directory)
-    summary["enabled"] = attribution_cache_enabled()
-    return summary
-
-
-def clear_attribution_cache(directory: Optional[str] = None) -> int:
-    """Delete every attribution entry; returns how many were removed."""
-    directory = directory or attribution_cache_dir()
-    removed = 0
-    if not os.path.isdir(directory):
-        return 0
-    for name in os.listdir(directory):
-        if not (name.endswith(".json") or name.endswith(".tmp")):
-            continue
-        try:
-            os.unlink(os.path.join(directory, name))
-            removed += 1
-        except OSError:
-            pass
-    return removed
+    NAMESPACE.store(key, encoded.encode("utf-8"))

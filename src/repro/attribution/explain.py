@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro import store
 from repro.estimators.base import (
     INTRA_ESTIMATORS,
     profile_block_estimates,
@@ -172,28 +173,21 @@ def explain_program(
     session = session_for_suite(name)
     program = session.program
     profiles = collect_profiles(name)
-    cache_on = (
-        attribution_cache.attribution_cache_enabled()
-        if use_cache is None
-        else use_cache
-    )
+    cache_on = store.enabled() if use_cache is None else use_cache
     key = attribution_cache.attribution_cache_key(
         program.source or name, profiles, estimator
     )
     if cache_on:
-        payload = attribution_cache.load_cached_explanation(key)
-        if payload is not None:
-            try:
-                explanation = ProgramExplanation.from_dict(payload)
-            except (KeyError, TypeError, ValueError):
-                explanation = None
-            if (
-                explanation is not None
-                and explanation.program == name
-                and explanation.estimator == estimator
-            ):
-                publish_accuracy_metrics(name, explanation.records)
-                return explanation
+        explanation = attribution_cache.load_cached_explanation(
+            key, ProgramExplanation.from_dict
+        )
+        if (
+            explanation is not None
+            and explanation.program == name
+            and explanation.estimator == estimator
+        ):
+            publish_accuracy_metrics(name, explanation.records)
+            return explanation
     with span("attribution.explain", program=name, estimator=estimator):
         explanation = _compute_explanation(
             session, name, estimator, aggregate_profiles(profiles)

@@ -34,16 +34,17 @@ Usage (after installing the package)::
         --fail-on-regression                # the CI regression gate
     python -m repro report --html out.html  # self-contained dashboard
 
-Profiling is cached persistently (see ``repro.profiles.cache``) and can
-fan out over worker processes; ``--jobs``/``REPRO_JOBS`` control the
-worker count and ``REPRO_CACHE_DIR``/``REPRO_CACHE`` the cache.
+Profiles, analysis estimates, generated code and explanations persist
+in one content-addressed store (:mod:`repro.store`) under
+``REPRO_CACHE_DIR``; ``REPRO_CACHE=0`` turns it off (the fuzz corpus
+under the same root stays on), and ``repro cache info|clear`` cover
+every namespace.  Profiling can fan out over worker processes;
+``--jobs``/``REPRO_JOBS`` control the worker count.
 
 Execution defaults to the compiled backend (:mod:`repro.compile`);
 ``--backend interp`` / ``REPRO_BACKEND=interp`` select the reference
 interpreter, and the two produce byte-identical profiles (enforced by
-the ``compiled_vs_interpreter`` fuzz oracle).  Generated code persists
-in the codegen cache (``REPRO_CODEGEN_CACHE_DIR``/
-``REPRO_CODEGEN_CACHE``), covered by ``repro cache info|clear``.
+the ``compiled_vs_interpreter`` fuzz oracle).
 
 Observability (see :mod:`repro.obs`): ``--trace``/``REPRO_TRACE``
 record a span trace and write it as JSONL (``REPRO_TRACE_FILE``,
@@ -72,7 +73,7 @@ import os
 import sys
 import time
 
-from repro import obs
+from repro import obs, store
 from repro.analysis import cache as analysis_cache
 from repro.attribution import cache as attribution_cache
 from repro.analysis.session import session_for_suite
@@ -554,18 +555,20 @@ def _format_mtime(value: object) -> str:
     return stamp.isoformat(sep=" ", timespec="seconds")
 
 
+#: The store's namespaces, as ``repro cache info|clear`` lists them.
+_NAMESPACES = (
+    ("profile cache", profile_cache.NAMESPACE),
+    ("analysis cache", analysis_cache.NAMESPACE),
+    ("codegen cache", codegen_cache.NAMESPACE),
+    ("attribution cache", attribution_cache.NAMESPACE),
+    ("fuzz corpus", fuzz_corpus.NAMESPACE),
+)
+
+
 def _command_cache(args: argparse.Namespace) -> int:
     if args.action == "info":
-        for title, info in (
-            ("profile cache", profile_cache.cache_info()),
-            ("analysis cache", analysis_cache.analysis_cache_info()),
-            ("codegen cache", codegen_cache.codegen_cache_info()),
-            (
-                "attribution cache",
-                attribution_cache.attribution_cache_info(),
-            ),
-            ("fuzz corpus", fuzz_corpus.corpus_info()),
-        ):
+        for title, namespace in _NAMESPACES:
+            info = namespace.info()
             print(f"{title}:")
             print(f"  directory: {info['directory']}")
             print(f"  enabled:   {'yes' if info['enabled'] else 'no'}")
@@ -598,28 +601,11 @@ def _command_cache(args: argparse.Namespace) -> int:
         print(f"  files:     {info['files']}")
         print(f"  size:      {info['bytes']} bytes")
         return 0
-    for title, info, clear in (
-        ("profile cache", profile_cache.cache_info(), profile_cache.clear_cache),
-        (
-            "analysis cache",
-            analysis_cache.analysis_cache_info(),
-            analysis_cache.clear_analysis_cache,
-        ),
-        (
-            "codegen cache",
-            codegen_cache.codegen_cache_info(),
-            codegen_cache.clear_codegen_cache,
-        ),
-        (
-            "attribution cache",
-            attribution_cache.attribution_cache_info(),
-            attribution_cache.clear_attribution_cache,
-        ),
-        ("fuzz corpus", fuzz_corpus.corpus_info(), fuzz_corpus.clear_corpus),
-    ):
-        removed = clear()
+    for title, namespace in _NAMESPACES:
+        info = namespace.info()
+        removed = namespace.clear()
         print(
-            f"{title}: removed {removed} entries "
+            f"{title}: removed {removed} files "
             f"({info['bytes']} bytes) from {info['directory']}"
         )
     info = ledger.ledger_info()
@@ -855,7 +841,7 @@ def _command_fuzz_run(args: argparse.Namespace) -> int:
     print(report.render())
     obs.diag(
         f"repro: fuzz used {report.jobs} jobs; "
-        f"corpus at {fuzz_corpus.corpus_dir()}"
+        f"corpus at {fuzz_corpus.NAMESPACE.directory}"
     )
     return 0 if report.ok else 1
 
@@ -1483,8 +1469,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats_parser.add_argument(
         "--file",
         default=None,
-        help="stats snapshot file (default: REPRO_STATS_FILE or the "
-        "profile cache directory)",
+        help="stats snapshot file (default: REPRO_STATS_FILE or "
+        "obs/stats.json under the cache root)",
     )
     stats_parser.set_defaults(handler=_command_stats)
 
@@ -1587,7 +1573,7 @@ def _finish_observability() -> None:
         path, count = obs.write_trace_jsonl()
         obs.diag(f"repro: wrote {count} spans to {path}")
     if obs.metrics_snapshot() and (
-        profile_cache.cache_enabled() or os.environ.get("REPRO_STATS_FILE")
+        store.enabled() or os.environ.get("REPRO_STATS_FILE")
     ):
         obs.write_stats()
 

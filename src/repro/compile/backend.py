@@ -29,6 +29,7 @@ import os
 from typing import Optional
 from weakref import WeakKeyDictionary
 
+from repro import store
 from repro.frontend import ast_nodes as ast
 from repro.frontend import ctypes as ct
 from repro.interp.errors import InterpreterError
@@ -39,7 +40,6 @@ from repro.profiles.profile import Profile
 from repro.program import Program
 
 from repro.compile.cache import (
-    codegen_cache_enabled,
     codegen_cache_key,
     load_cached_code,
     store_code,
@@ -127,7 +127,7 @@ def compile_program(program: Program) -> _CompiledModule:
         return module
     with span("compile.program", program=program.name):
         code = None
-        cache_on = codegen_cache_enabled()
+        cache_on = store.enabled()
         key = codegen_cache_key(program.source) if cache_on else ""
         if cache_on:
             code = load_cached_code(key)

@@ -4,11 +4,14 @@ Lowering a large program to Python and ``compile()``-ing it costs real
 time (tens of milliseconds for suite programs, more for suite-XL
 giants), and every worker process in the profiling fan-out would
 otherwise pay it again.  This cache persists both artifacts per
-program:
+program in the ``codegen/`` namespace of :mod:`repro.store`:
 
-    <cache dir>/
-        <key>.py        # the generated Python source (debuggable)
+    <root>/codegen/
         <key>.code      # marshal of the compiled code object
+        <key>.py        # the generated Python source (debuggable)
+
+A load prefers the marshal blob (no recompile) and falls back to
+compiling the stored source.
 
 ``<key>`` is a SHA-256 digest over the compile-scheme version
 (:data:`repro.compile.COMPILE_VERSION`), the interpreter semantics
@@ -18,159 +21,57 @@ version, the Python marshal tag (``sys.implementation.cache_tag`` —
 marshal blobs are interpreter-build specific), and the program's full
 C source.  Bumping ``COMPILE_VERSION`` therefore invalidates stale
 codegen exactly like ``INTERP_VERSION`` invalidates stale profiles.
-
-Environment knobs mirror the profile cache:
-
-* ``REPRO_CODEGEN_CACHE_DIR`` — directory (default:
-  ``$XDG_CACHE_HOME/repro/codegen`` or ``~/.cache/repro/codegen``).
-* ``REPRO_CODEGEN_CACHE=0`` — disable persistence (in-process
-  memoization still applies).
-
-Writes are atomic (tempfile + ``os.replace``): parallel workers race
-benignly on identical bytes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import marshal
-import os
 import sys
-import tempfile
+import types
 from typing import Optional
 
 import repro
 from repro.interp import INTERP_VERSION
-from repro.obs import incr
+from repro.store import Namespace, content_key
 
-_FALSEY = {"0", "no", "off", "false", ""}
-
-
-def codegen_cache_enabled() -> bool:
-    """Whether the persistent codegen cache is on."""
-    value = os.environ.get("REPRO_CODEGEN_CACHE", "1")
-    return value.strip().lower() not in _FALSEY
-
-
-def codegen_cache_dir() -> str:
-    """The codegen cache directory (not necessarily created yet)."""
-    explicit = os.environ.get("REPRO_CODEGEN_CACHE_DIR")
-    if explicit:
-        return explicit
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = xdg if xdg else os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "repro", "codegen")
+NAMESPACE = Namespace("codegen", (".code", ".py"), "compile.cache")
 
 
 def codegen_cache_key(source: str) -> str:
     """Content hash identifying one program's generated code."""
     from repro.compile import COMPILE_VERSION
 
-    hasher = hashlib.sha256()
-    for part in (
+    return content_key(
         f"compile={COMPILE_VERSION}",
         f"interp={INTERP_VERSION}",
         f"package={repro.__version__}",
         f"pytag={sys.implementation.cache_tag}",
         source,
-    ):
-        encoded = part.encode("utf-8")
-        hasher.update(str(len(encoded)).encode("ascii"))
-        hasher.update(b":")
-        hasher.update(encoded)
-    return hasher.hexdigest()
+    )
 
 
-def _source_path(key: str, directory: str) -> str:
-    return os.path.join(directory, f"{key}.py")
-
-
-def _code_path(key: str, directory: str) -> str:
-    return os.path.join(directory, f"{key}.code")
-
-
-def load_cached_code(key: str, directory: Optional[str] = None):
-    """The cached code object for ``key``, or None on a miss.
-
-    Prefers the marshal blob (no recompile); falls back to compiling
-    the stored source.  Corrupt entries count as misses and are
-    overwritten by the next store.
-    """
-    directory = directory or codegen_cache_dir()
-    try:
-        with open(_code_path(key, directory), "rb") as handle:
-            blob = handle.read()
-        code = marshal.loads(blob)
-        if not isinstance(code, type((lambda: 0).__code__)):
-            raise ValueError("not a code object")
-    except (OSError, ValueError, EOFError, TypeError):
-        code = None
-    if code is None:
-        try:
-            with open(_source_path(key, directory), encoding="utf-8") as handle:
-                text = handle.read()
-            code = compile(text, f"<repro-codegen {key[:16]}>", "exec")
-            blob = b""
-        except (OSError, SyntaxError, ValueError):
-            incr("compile.cache.misses")
-            return None
-    incr("compile.cache.hits")
-    incr("compile.cache.bytes_read", len(blob))
+def _unmarshal(blob: bytes) -> types.CodeType:
+    code = marshal.loads(blob)
+    if not isinstance(code, types.CodeType):
+        raise ValueError("not a code object")
     return code
 
 
-def _atomic_write(path: str, payload: bytes, directory: str, key: str) -> None:
-    fd, temp_path = tempfile.mkstemp(
-        prefix=f".{key[:16]}-", suffix=".tmp", dir=directory
+def load_cached_code(key: str) -> Optional[types.CodeType]:
+    """The cached code object for ``key``, or None on a miss."""
+    return NAMESPACE.load(
+        key,
+        {
+            ".code": _unmarshal,
+            ".py": lambda source: compile(
+                source, f"<repro-codegen {key[:16]}>", "exec"
+            ),
+        },
     )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
 
 
-def store_code(
-    key: str, source: str, code, directory: Optional[str] = None
-) -> None:
+def store_code(key: str, source: str, code: types.CodeType) -> None:
     """Atomically persist generated source + marshal'd code object."""
-    directory = directory or codegen_cache_dir()
-    os.makedirs(directory, exist_ok=True)
-    source_bytes = source.encode("utf-8")
-    blob = marshal.dumps(code)
-    incr("compile.cache.stores")
-    incr("compile.cache.bytes_written", len(source_bytes) + len(blob))
-    _atomic_write(_source_path(key, directory), source_bytes, directory, key)
-    _atomic_write(_code_path(key, directory), blob, directory, key)
-
-
-def codegen_cache_info(directory: Optional[str] = None) -> dict[str, object]:
-    """Summary of the codegen cache (counts ``.py`` + ``.code`` files)."""
-    from repro.profiles.cache import scan_cache_entries
-
-    directory = directory or codegen_cache_dir()
-    summary = scan_cache_entries(directory, suffixes=(".py", ".code"))
-    summary["enabled"] = codegen_cache_enabled()
-    return summary
-
-
-def clear_codegen_cache(directory: Optional[str] = None) -> int:
-    """Delete every codegen cache entry; returns how many were removed."""
-    directory = directory or codegen_cache_dir()
-    removed = 0
-    if not os.path.isdir(directory):
-        return 0
-    for name in os.listdir(directory):
-        if not name.endswith((".py", ".code", ".tmp")):
-            continue
-        try:
-            os.unlink(os.path.join(directory, name))
-            removed += 1
-        except OSError:
-            pass
-    return removed
+    NAMESPACE.store(
+        key, {".py": source.encode("utf-8"), ".code": marshal.dumps(code)}
+    )

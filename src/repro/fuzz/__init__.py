@@ -13,9 +13,6 @@ from __future__ import annotations
 
 from repro.fuzz.corpus import (
     case_key,
-    clear_corpus,
-    corpus_dir,
-    corpus_info,
     list_cases,
     load_metadata,
     resolve_case,
@@ -58,9 +55,6 @@ __all__ = [
     "check_program",
     "oracle_names",
     "case_key",
-    "clear_corpus",
-    "corpus_dir",
-    "corpus_info",
     "list_cases",
     "load_metadata",
     "resolve_case",

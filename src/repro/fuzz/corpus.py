@@ -1,28 +1,20 @@
 """Persistent on-disk corpus of failing/interesting fuzz cases.
 
-Content-addressed exactly like the profile cache: each case is stored
-under the SHA-256 hex digest of its source text, as a ``<key>.c``
-source file next to a ``<key>.json`` metadata record (seed, generator
+Each case lives in the ``fuzz/`` namespace of :mod:`repro.store` under
+the SHA-256 hex digest of its source text, as a ``<key>.c`` source
+file next to a ``<key>.json`` metadata record (seed, generator
 version, failing oracles, how it got here).  Shrunk reductions land
 beside the original as ``<key>.min.c``.
 
 Layout::
 
-    <corpus dir>/
+    <root>/fuzz/
         <key>.c         # the case source (the key is sha256(source))
         <key>.json      # metadata: seed, oracles, origin, versions
         <key>.min.c     # optional: the delta-debugged reduction
 
-Environment knobs:
-
-* ``REPRO_FUZZ_DIR`` — corpus directory.  Defaults to a ``fuzz/``
-  sibling of the analysis cache under the profile cache directory, so
-  pointing ``REPRO_CACHE_DIR`` somewhere hermetic (as the test suite
-  does) isolates the corpus too.
-
-Writes are atomic (tempfile + ``os.replace``), so parallel fuzz
-workers can save cases concurrently without corruption; two workers
-finding the same source race benignly to identical bytes.
+The corpus records failures rather than caching results, so it stays
+on under ``REPRO_CACHE=0``.
 """
 
 from __future__ import annotations
@@ -30,19 +22,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import Optional
 
 from repro.obs import incr
-from repro.profiles import cache as profile_cache
+from repro.store import Namespace
 
-
-def corpus_dir() -> str:
-    """The corpus directory (not necessarily created yet)."""
-    explicit = os.environ.get("REPRO_FUZZ_DIR")
-    if explicit:
-        return explicit
-    return os.path.join(profile_cache.cache_dir(), "fuzz")
+NAMESPACE = Namespace("fuzz", (".c", ".json"), "fuzz.corpus", always_on=True)
 
 
 def case_key(source: str) -> str:
@@ -50,64 +35,37 @@ def case_key(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    fd, temp_path = tempfile.mkstemp(
-        prefix=f".{os.path.basename(path)[:16]}-",
-        suffix=".tmp",
-        dir=directory,
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-
-
-def save_case(
-    source: str,
-    metadata: Optional[dict] = None,
-    directory: Optional[str] = None,
-) -> str:
+def save_case(source: str, metadata: Optional[dict] = None) -> str:
     """Store one case; returns its content-address key.
 
     ``metadata`` is JSON-serializable extra context (seed, failing
     oracles, origin); the source hash and byte count are added.
     """
-    directory = directory or corpus_dir()
     key = case_key(source)
     record = dict(metadata or {})
     record.setdefault("key", key)
     record.setdefault("bytes", len(source.encode("utf-8")))
     record.setdefault("lines", source.count("\n"))
-    _atomic_write(os.path.join(directory, f"{key}.c"), source)
-    _atomic_write(
-        os.path.join(directory, f"{key}.json"),
-        json.dumps(record, sort_keys=True, indent=2) + "\n",
+    NAMESPACE.store(
+        key,
+        {
+            ".c": source.encode("utf-8"),
+            ".json": (
+                json.dumps(record, sort_keys=True, indent=2) + "\n"
+            ).encode("utf-8"),
+        },
     )
     incr("fuzz.corpus.saves")
     return key
 
 
-def save_reduction(
-    key: str, reduced_source: str, directory: Optional[str] = None
-) -> str:
+def save_reduction(key: str, reduced_source: str) -> str:
     """Store the shrunk form of an existing case; returns its path."""
-    directory = directory or corpus_dir()
-    path = os.path.join(directory, f"{key}.min.c")
-    _atomic_write(path, reduced_source)
-    return path
+    NAMESPACE.store(key, {".min.c": reduced_source.encode("utf-8")})
+    return os.path.join(NAMESPACE.directory, f"{key}.min.c")
 
 
-def resolve_case(
-    reference: str, directory: Optional[str] = None
-) -> tuple[str, str]:
+def resolve_case(reference: str) -> tuple[str, str]:
     """Resolve a case reference to ``(key, source)``.
 
     ``reference`` may be a full key, a unique key prefix, or a path to
@@ -115,18 +73,14 @@ def resolve_case(
     for unknown or ambiguous references, ``OSError`` for unreadable
     paths.
     """
-    directory = directory or corpus_dir()
+    directory = NAMESPACE.directory
     if reference.endswith(".c") or os.path.sep in reference:
         with open(reference, encoding="utf-8") as handle:
             source = handle.read()
         return case_key(source), source
     matches = [
-        name[: -len(".c")]
-        for name in sorted(os.listdir(directory))
-        if name.endswith(".c")
-        and not name.endswith(".min.c")
-        and name.startswith(reference)
-    ] if os.path.isdir(directory) else []
+        key for key in _case_keys(directory) if key.startswith(reference)
+    ]
     if not matches:
         raise KeyError(
             f"no corpus case matches {reference!r} in {directory}"
@@ -142,11 +96,20 @@ def resolve_case(
         return matches[0], handle.read()
 
 
-def load_metadata(
-    key: str, directory: Optional[str] = None
-) -> Optional[dict]:
+def _case_keys(directory: str) -> list[str]:
+    """Keys of every case source in ``directory``, sorted."""
+    if not os.path.isdir(directory):
+        return []
+    return [
+        name[: -len(".c")]
+        for name in sorted(os.listdir(directory))
+        if name.endswith(".c") and not name.endswith(".min.c")
+    ]
+
+
+def load_metadata(key: str) -> Optional[dict]:
     """The metadata record of one case, or None if absent/unreadable."""
-    path = os.path.join(directory or corpus_dir(), f"{key}.json")
+    path = os.path.join(NAMESPACE.directory, f"{key}.json")
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -155,77 +118,14 @@ def load_metadata(
     return payload if isinstance(payload, dict) else None
 
 
-def list_cases(directory: Optional[str] = None) -> list[dict]:
+def list_cases() -> list[dict]:
     """All corpus cases, sorted by key, with their metadata."""
-    directory = directory or corpus_dir()
-    if not os.path.isdir(directory):
-        return []
+    directory = NAMESPACE.directory
     cases = []
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".c") or name.endswith(".min.c"):
-            continue
-        key = name[: -len(".c")]
-        record = load_metadata(key, directory) or {"key": key}
+    for key in _case_keys(directory):
+        record = load_metadata(key) or {"key": key}
         record["has_reduction"] = os.path.exists(
             os.path.join(directory, f"{key}.min.c")
         )
         cases.append(record)
     return cases
-
-
-def corpus_info(directory: Optional[str] = None) -> dict[str, object]:
-    """Summary: directory, case count, total bytes, mtime range.
-
-    Same shape as the profile/analysis cache summaries so ``repro
-    cache info`` renders all three identically; ``entries`` counts
-    cases (source files), ``bytes`` covers every corpus file.
-    """
-    directory = directory or corpus_dir()
-    entries = 0
-    total_bytes = 0
-    oldest: Optional[float] = None
-    newest: Optional[float] = None
-    if os.path.isdir(directory):
-        for name in os.listdir(directory):
-            if not (name.endswith(".c") or name.endswith(".json")):
-                continue
-            if name.endswith(".c") and not name.endswith(".min.c"):
-                entries += 1
-            try:
-                status = os.stat(os.path.join(directory, name))
-            except OSError:
-                continue
-            total_bytes += status.st_size
-            if oldest is None or status.st_mtime < oldest:
-                oldest = status.st_mtime
-            if newest is None or status.st_mtime > newest:
-                newest = status.st_mtime
-    return {
-        "directory": directory,
-        "enabled": True,
-        "entries": entries,
-        "bytes": total_bytes,
-        "oldest_mtime": oldest,
-        "newest_mtime": newest,
-    }
-
-
-def clear_corpus(directory: Optional[str] = None) -> int:
-    """Delete every corpus file; returns how many were removed."""
-    directory = directory or corpus_dir()
-    removed = 0
-    if not os.path.isdir(directory):
-        return 0
-    for name in os.listdir(directory):
-        if not (
-            name.endswith(".c")
-            or name.endswith(".json")
-            or name.endswith(".tmp")
-        ):
-            continue
-        try:
-            os.unlink(os.path.join(directory, name))
-            removed += 1
-        except OSError:
-            pass
-    return removed

@@ -47,7 +47,6 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.analysis import cache as analysis_cache
 from repro.analysis.session import AnalysisSession
 from repro.cfg.block import ReturnTerm
 from repro.compile import resolve_backend, run_program_backend
@@ -322,17 +321,11 @@ def check_cache_round_trip(ctx: OracleContext) -> list[str]:
     violations: list[str] = []
     scratch = tempfile.mkdtemp(prefix="repro-fuzz-cache-")
     saved = {
-        key: os.environ.get(key)
-        for key in (
-            "REPRO_CACHE",
-            "REPRO_ANALYSIS_CACHE",
-            "REPRO_ANALYSIS_CACHE_DIR",
-        )
+        key: os.environ.get(key) for key in ("REPRO_CACHE", "REPRO_CACHE_DIR")
     }
     try:
         os.environ["REPRO_CACHE"] = "1"
-        os.environ["REPRO_ANALYSIS_CACHE"] = "1"
-        os.environ["REPRO_ANALYSIS_CACHE_DIR"] = scratch
+        os.environ["REPRO_CACHE_DIR"] = scratch
         source = ctx.program.source
         name = ctx.program.name
         cold_session = AnalysisSession(
@@ -354,10 +347,8 @@ def check_cache_round_trip(ctx: OracleContext) -> list[str]:
             )
         # Profile cache: a stored profile must load back exactly.
         key = profile_cache.profile_cache_key(source, "<fuzz>")
-        profile_cache.store_profile(key, ctx.profile, directory=scratch)
-        loaded = profile_cache.load_cached_profile(
-            key, directory=scratch
-        )
+        profile_cache.store_profile(key, ctx.profile)
+        loaded = profile_cache.load_cached_profile(key)
         if loaded is None:
             violations.append("stored profile failed to load back")
         elif not profiles_equal(ctx.profile, loaded):

@@ -117,7 +117,6 @@ def _check_case(
     base_seed: int,
     index: int,
     fuel: int,
-    corpus_dir: Optional[str],
     backend: Optional[str] = None,
 ) -> CaseOutcome:
     """Generate and check case ``index``; save failures to the corpus."""
@@ -154,19 +153,18 @@ def _check_case(
                 ],
                 "origin": "fuzz run",
             },
-            directory=corpus_dir,
         )
     return outcome
 
 
 def _case_worker(
-    task: tuple[int, int, int, Optional[str], bool, Optional[str]]
+    task: tuple[int, int, int, bool, Optional[str]]
 ) -> tuple[dict, dict]:
     """One case in a worker process, observability captured."""
-    base_seed, index, fuel, corpus_dir, trace, backend = task
+    base_seed, index, fuel, trace, backend = task
     capture = WorkerCapture(trace)
     with capture:
-        outcome = _check_case(base_seed, index, fuel, corpus_dir, backend)
+        outcome = _check_case(base_seed, index, fuel, backend)
     return (
         {
             "index": outcome.index,
@@ -183,7 +181,6 @@ def fuzz_run(
     count: int,
     jobs: Optional[int] = None,
     fuel: int = DEFAULT_MACHINE_FUEL,
-    corpus_dir: Optional[str] = None,
     record: bool = False,
     started_at: Optional[str] = None,
     backend: Optional[str] = None,
@@ -223,7 +220,7 @@ def fuzz_run(
     ):
         if jobs > 1 and count > 1:
             tasks = [
-                (seed, index, fuel, corpus_dir, tracing_enabled(), backend)
+                (seed, index, fuel, tracing_enabled(), backend)
                 for index in range(count)
             ]
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -243,7 +240,7 @@ def fuzz_run(
         else:
             for index in range(count):
                 report.outcomes.append(
-                    _check_case(seed, index, fuel, corpus_dir, backend)
+                    _check_case(seed, index, fuel, backend)
                 )
     if recording:
         ledger.record_run(

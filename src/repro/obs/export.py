@@ -157,28 +157,30 @@ def render_span_tree(
 def stats_file_path() -> str:
     """Where the end-of-command metrics snapshot lives.
 
-    An ``obs/`` subdirectory of the profile cache keeps the snapshot
-    out of the cache's own entry accounting (``repro cache info``).
+    An ``obs/`` subdirectory of the store's root keeps the snapshot
+    out of every namespace's entry accounting (``repro cache info``).
     """
     explicit = os.environ.get("REPRO_STATS_FILE")
     if explicit:
         return explicit
-    from repro.profiles import cache as profile_cache
+    from repro import store
 
-    return os.path.join(profile_cache.cache_dir(), "obs", "stats.json")
+    return os.path.join(store.root(), "obs", "stats.json")
 
 
 def write_stats(path: Optional[str] = None) -> Optional[str]:
     """Persist the current metrics snapshot; returns the path written,
-    or None when there is nothing to record."""
+    or None when there is nothing to record.  The write is atomic, so a
+    concurrent ``repro stats`` reads the old snapshot or the new one."""
+    from repro.store import atomic_write
+
     snapshot = metrics_snapshot()
     if not snapshot:
         return None
     path = path or stats_file_path()
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(snapshot, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    text = json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
+    atomic_write(path, text.encode("utf-8"))
     return path
 
 

@@ -114,9 +114,9 @@ def ledger_dir() -> str:
     explicit = os.environ.get("REPRO_LEDGER_DIR")
     if explicit:
         return explicit
-    from repro.profiles import cache as profile_cache
+    from repro import store
 
-    return os.path.join(profile_cache.cache_dir(), "ledger")
+    return os.path.join(store.root(), "ledger")
 
 
 def ledger_path() -> str:
@@ -299,7 +299,7 @@ def record_run(
     if not ledger_enabled():
         return None
     fingerprint = environment_fingerprint()
-    from repro.profiles.cache import cache_enabled
+    from repro import store
 
     connection = _connect(path)
     try:
@@ -316,7 +316,7 @@ def record_run(
                 fingerprint["python"],
                 fingerprint["platform"],
                 int(jobs),
-                1 if cache_enabled() else 0,
+                1 if store.enabled() else 0,
                 SCHEMA_VERSION,
                 fingerprint["version"],
             ),

@@ -6,11 +6,7 @@ from repro.profiles.aggregate import (
     normalized_copy,
 )
 from repro.profiles.cache import (
-    cache_dir,
-    cache_enabled,
-    cache_info,
     cached_profile_for_source,
-    clear_cache,
     load_cached_profile,
     profile_cache_key,
     store_profile,
@@ -28,11 +24,7 @@ __all__ = [
     "BranchOutcome",
     "Profile",
     "aggregate_profiles",
-    "cache_dir",
-    "cache_enabled",
-    "cache_info",
     "cached_profile_for_source",
-    "clear_cache",
     "dumps_profile",
     "leave_one_out_aggregates",
     "load_cached_profile",

@@ -3,146 +3,68 @@
 Profiling is the expensive step every experiment shares: re-interpreting
 the 14-program suite takes tens of seconds, and the CLI, the pytest
 tier, and the benchmark harness each used to pay it from scratch.  This
-module stores one JSON file per (program source, input text) pair under
-a cache directory shared by all three consumers, keyed by a content
-hash, so a source or input edit invalidates exactly the entries it
-affects.
+module stores one JSON file per (program source, input text) pair at
+the root of the shared store (:mod:`repro.store`), so a source or input
+edit invalidates exactly the entries it affects.
 
-Layout::
+``<key>`` is a content hash over:
 
-    <cache dir>/
-        <key>.json      # one serialized Profile per (source, input)
-
-where ``<key>`` is a SHA-256 hex digest over:
-
-* the program's full C source text,
-* the input text,
 * the interpreter semantics version (:data:`repro.interp.INTERP_VERSION`),
-* the serialization format version, and
-* the package version.
-
-Environment knobs:
-
-* ``REPRO_CACHE_DIR`` — cache directory (default:
-  ``$XDG_CACHE_HOME/repro/profiles`` or ``~/.cache/repro/profiles``).
-* ``REPRO_CACHE=0`` — disable the cache entirely.
-
-Writes are atomic (tempfile + ``os.replace``), so concurrent writers —
-the parallel pipeline's worker processes — can race on the same key
-without corrupting entries; last writer wins with identical bytes.
+* the serialization format version,
+* the package version,
+* the program's full C source text, and
+* the input text.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import tempfile
 from typing import Callable, Optional
 
 import repro
 from repro.interp import INTERP_VERSION
-from repro.obs import incr
 from repro.profiles.profile import Profile
 from repro.profiles.serialize import (
     PROFILE_FORMAT_VERSION,
     profile_from_dict,
     profile_to_dict,
 )
+from repro.store import Namespace, content_key, enabled
 
-_FALSEY = {"0", "no", "off", "false", ""}
-
-
-def cache_enabled() -> bool:
-    """Whether the persistent cache is on (``REPRO_CACHE`` knob)."""
-    return os.environ.get("REPRO_CACHE", "1").strip().lower() not in _FALSEY
-
-
-def cache_dir() -> str:
-    """The cache directory (not necessarily created yet)."""
-    explicit = os.environ.get("REPRO_CACHE_DIR")
-    if explicit:
-        return explicit
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = xdg if xdg else os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "repro", "profiles")
+NAMESPACE = Namespace("", (".json",), "profile_cache")
 
 
 def profile_cache_key(source: str, input_text: str) -> str:
     """Content hash identifying one (program, input) profile."""
-    hasher = hashlib.sha256()
-    for part in (
+    return content_key(
         f"interp={INTERP_VERSION}",
         f"format={PROFILE_FORMAT_VERSION}",
         f"package={repro.__version__}",
         source,
         input_text,
-    ):
-        encoded = part.encode("utf-8")
-        hasher.update(str(len(encoded)).encode("ascii"))
-        hasher.update(b":")
-        hasher.update(encoded)
-    return hasher.hexdigest()
-
-
-def _entry_path(key: str, directory: Optional[str] = None) -> str:
-    return os.path.join(directory or cache_dir(), f"{key}.json")
-
-
-def load_cached_profile(
-    key: str, directory: Optional[str] = None
-) -> Optional[Profile]:
-    """The cached profile for ``key``, or None on a miss.
-
-    Unreadable or stale-format entries count as misses (and are left in
-    place; a subsequent store overwrites them).
-    """
-    path = _entry_path(key, directory)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        profile = profile_from_dict(json.loads(text))
-    except (OSError, ValueError, KeyError, TypeError):
-        incr("profile_cache.misses")
-        return None
-    incr("profile_cache.hits")
-    incr("profile_cache.bytes_read", len(text))
-    return profile
-
-
-def store_profile(
-    key: str, profile: Profile, directory: Optional[str] = None
-) -> str:
-    """Atomically write ``profile`` under ``key``; returns the path."""
-    directory = directory or cache_dir()
-    os.makedirs(directory, exist_ok=True)
-    path = _entry_path(key, directory)
-    payload = json.dumps(
-        profile_to_dict(profile), separators=(",", ":")
     )
-    incr("profile_cache.stores")
-    incr("profile_cache.bytes_written", len(payload))
-    fd, temp_path = tempfile.mkstemp(
-        prefix=f".{key[:16]}-", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-    return path
+
+
+def _decode(data: bytes) -> Profile:
+    return profile_from_dict(json.loads(data))
+
+
+def load_cached_profile(key: str) -> Optional[Profile]:
+    """The cached profile for ``key``, or None on a miss (absent,
+    unreadable, or not a profile of the current format)."""
+    return NAMESPACE.load(key, _decode)
+
+
+def store_profile(key: str, profile: Profile) -> None:
+    """Atomically write ``profile`` under ``key``."""
+    payload = json.dumps(profile_to_dict(profile), separators=(",", ":"))
+    NAMESPACE.store(key, payload.encode("utf-8"))
 
 
 def cached_profile_for_source(
     source: str,
     input_text: str,
     compute: "Callable[[], Profile]",
-    directory: Optional[str] = None,
 ) -> Profile:
     """Profile for an arbitrary (source, input) pair, via the cache.
 
@@ -153,72 +75,12 @@ def cached_profile_for_source(
     harness, figure 10's held-out compress run) share the cache with
     suite profiling.
     """
-    if not cache_enabled():
+    if not enabled():
         return compute()
     key = profile_cache_key(source, input_text)
-    cached = load_cached_profile(key, directory)
+    cached = load_cached_profile(key)
     if cached is not None:
         return cached
     profile = compute()
-    store_profile(key, profile, directory)
+    store_profile(key, profile)
     return profile
-
-
-def cache_info(directory: Optional[str] = None) -> dict[str, object]:
-    """Summary of the cache: directory, entry count, total bytes, and
-    the oldest/newest entry mtimes (Unix seconds, None when empty)."""
-    directory = directory or cache_dir()
-    summary = scan_cache_entries(directory)
-    summary["enabled"] = cache_enabled()
-    return summary
-
-
-def scan_cache_entries(
-    directory: str, suffixes: tuple[str, ...] = (".json",)
-) -> dict[str, object]:
-    """One pass over a cache directory's entries, shared by the
-    profile, analysis, and codegen caches: counts, bytes, mtime range.
-    ``suffixes`` selects which files count as entries (the codegen
-    cache stores ``.py`` source plus ``.code`` marshal blobs)."""
-    entries = 0
-    total_bytes = 0
-    oldest: Optional[float] = None
-    newest: Optional[float] = None
-    if os.path.isdir(directory):
-        for name in os.listdir(directory):
-            if not name.endswith(suffixes):
-                continue
-            entries += 1
-            try:
-                status = os.stat(os.path.join(directory, name))
-            except OSError:
-                continue
-            total_bytes += status.st_size
-            if oldest is None or status.st_mtime < oldest:
-                oldest = status.st_mtime
-            if newest is None or status.st_mtime > newest:
-                newest = status.st_mtime
-    return {
-        "directory": directory,
-        "entries": entries,
-        "bytes": total_bytes,
-        "oldest_mtime": oldest,
-        "newest_mtime": newest,
-    }
-
-
-def clear_cache(directory: Optional[str] = None) -> int:
-    """Delete every cache entry; returns how many were removed."""
-    directory = directory or cache_dir()
-    removed = 0
-    if not os.path.isdir(directory):
-        return 0
-    for name in os.listdir(directory):
-        if not (name.endswith(".json") or name.endswith(".tmp")):
-            continue
-        try:
-            os.unlink(os.path.join(directory, name))
-            removed += 1
-        except OSError:
-            pass
-    return removed

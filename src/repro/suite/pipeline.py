@@ -34,6 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from repro import store
 from repro.obs import (
     WorkerCapture,
     absorb,
@@ -190,7 +191,7 @@ def collect_suite_profiles(
             raise KeyError(f"unknown suite program {name!r}")
     jobs = resolve_jobs(jobs)
     if use_cache is None:
-        use_cache = profile_cache.cache_enabled()
+        use_cache = store.enabled()
 
     inputs: dict[str, list[str]] = {
         name: registry.program_inputs(name) for name in ordered

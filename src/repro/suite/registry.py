@@ -31,6 +31,7 @@ import os
 import re
 from dataclasses import dataclass
 
+from repro import store
 from repro.compile import machine_class
 from repro.interp.machine import ExecutionResult
 from repro.profiles import cache as profile_cache
@@ -314,7 +315,7 @@ def profile_for_input(
     consumer (CLI, pytest, benchmarks).
     """
     if use_cache is None:
-        use_cache = profile_cache.cache_enabled()
+        use_cache = store.enabled()
     key = profile_key(name, stdin) if use_cache else ""
     if use_cache:
         cached = profile_cache.load_cached_profile(key)

@@ -23,25 +23,18 @@ from repro.program import Program  # noqa: E402
 
 @pytest.fixture(scope="session", autouse=True)
 def _hermetic_profile_cache(tmp_path_factory):
-    """Point the persistent profile cache at a per-session temp dir.
+    """Point the persistent store at a per-session temp dir.
 
     Tests still exercise the real cache machinery (suite profiles are
     interpreted once per pytest session, then served from disk), but
     never read from or write to the developer's real cache.
     """
     cache_dir = tmp_path_factory.mktemp("profile-cache")
-    codegen_dir = tmp_path_factory.mktemp("codegen-cache")
     previous = {
         name: os.environ.get(name)
-        for name in (
-            "REPRO_CACHE_DIR",
-            "REPRO_CODEGEN_CACHE_DIR",
-            "REPRO_LEDGER",
-            "REPRO_LEDGER_DIR",
-        )
+        for name in ("REPRO_CACHE_DIR", "REPRO_LEDGER", "REPRO_LEDGER_DIR")
     }
     os.environ["REPRO_CACHE_DIR"] = str(cache_dir)
-    os.environ["REPRO_CODEGEN_CACHE_DIR"] = str(codegen_dir)
     # The run ledger defaults under the cache dir, so it is already
     # hermetic; drop any ambient overrides so tests see the default.
     os.environ.pop("REPRO_LEDGER", None)

@@ -169,13 +169,16 @@ class TestStageAccumulator:
 
 
 class TestDiskLayer:
-    def test_roundtrip_via_cache_dir(self, tmp_path, monkeypatch, program):
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE_DIR", str(tmp_path))
+    @pytest.fixture(autouse=True)
+    def _private_root(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
+    def test_roundtrip_via_cache_dir(self, program):
         session = AnalysisSession.of(program)
         estimates = session.intra_estimates("smart")
         invocations = session.invocations("markov", "smart")
         assert session.stats.disk_stores == 2
-        assert analysis_cache.analysis_cache_info()["entries"] == 2
+        assert analysis_cache.NAMESPACE.info()["entries"] == 2
 
         # A brand-new session (fresh process stand-in) loads from disk.
         fresh = AnalysisSession(
@@ -192,15 +195,13 @@ class TestDiskLayer:
         )
 
     def test_disabled_by_env(self, tmp_path, monkeypatch, program):
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE", "0")
+        monkeypatch.setenv("REPRO_CACHE", "0")
         session = AnalysisSession.of(program)
         session.intra_estimates("smart")
         assert session.stats.disk_stores == 0
         assert not os.listdir(tmp_path)
 
-    def test_stale_function_set_misses(self, tmp_path, monkeypatch, program):
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE_DIR", str(tmp_path))
+    def test_stale_function_set_misses(self, program):
         key = analysis_cache.analysis_cache_key(
             program.source, "intra", "smart"
         )
@@ -212,12 +213,12 @@ class TestDiskLayer:
         assert session.stats.disk_hits == 0
         assert set(estimates) == set(program.function_names)
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path, monkeypatch, program):
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE_DIR", str(tmp_path))
+    def test_corrupt_entry_is_a_miss(self, tmp_path, program):
         key = analysis_cache.analysis_cache_key(
             program.source, "intra", "smart"
         )
-        (tmp_path / f"{key}.json").write_text("{not json")
+        (tmp_path / "analysis").mkdir()
+        (tmp_path / "analysis" / f"{key}.json").write_text("{not json")
         session = AnalysisSession.of(program)
         assert session.intra_estimates("smart")
         assert session.stats.disk_hits == 0
@@ -234,16 +235,7 @@ class TestDiskLayer:
             "src", "intra", "markov"
         )
 
-    def test_clear_analysis_cache(self, tmp_path, monkeypatch, program):
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE_DIR", str(tmp_path))
-        AnalysisSession.of(program).intra_estimates("smart")
-        assert analysis_cache.clear_analysis_cache() == 1
-        assert analysis_cache.analysis_cache_info()["entries"] == 0
-
-    def test_default_dir_nests_under_profile_cache(self, monkeypatch):
-        from repro.profiles import cache as profile_cache
-
-        monkeypatch.delenv("REPRO_ANALYSIS_CACHE_DIR", raising=False)
-        assert analysis_cache.analysis_cache_dir() == os.path.join(
-            profile_cache.cache_dir(), "analysis"
+    def test_default_dir_nests_under_profile_cache(self, tmp_path):
+        assert analysis_cache.NAMESPACE.directory == os.path.join(
+            str(tmp_path), "analysis"
         )

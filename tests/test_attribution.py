@@ -303,40 +303,25 @@ class TestCache:
             "int main(void){}", compress_profiles, "markov"
         )
 
-    def test_store_load_round_trip(self, tmp_path):
-        directory = str(tmp_path / "attr")
+    def test_store_load_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         payload = {"program": "x", "records": [1, 2, 3]}
         key = "k" * 64
         assert (
-            attribution_cache.load_cached_explanation(key, directory)
-            is None
+            attribution_cache.load_cached_explanation(key, dict) is None
         )
-        attribution_cache.store_explanation(key, payload, directory)
+        attribution_cache.store_explanation(key, payload)
         assert (
-            attribution_cache.load_cached_explanation(key, directory)
+            attribution_cache.load_cached_explanation(key, dict)
             == payload
         )
+        assert (tmp_path / "attribution" / f"{key}.json").exists()
 
-    def test_info_and_clear(self, tmp_path, monkeypatch):
-        directory = str(tmp_path / "attr")
-        monkeypatch.setenv("REPRO_ATTRIBUTION_CACHE_DIR", directory)
-        assert attribution_cache.attribution_cache_dir() == directory
-        attribution_cache.store_explanation("a" * 64, {"x": 1})
-        info = attribution_cache.attribution_cache_info()
-        assert info["entries"] == 1
-        assert info["bytes"] > 0
-        assert info["enabled"] is True
-        assert attribution_cache.clear_attribution_cache() == 1
-        assert (
-            attribution_cache.attribution_cache_info()["entries"] == 0
-        )
-
-    def test_disabled_by_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ATTRIBUTION_CACHE", "0")
-        assert not attribution_cache.attribution_cache_enabled()
-        monkeypatch.setenv("REPRO_ATTRIBUTION_CACHE", "1")
+    def test_disabled_by_knobs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_CACHE", "0")
-        assert not attribution_cache.attribution_cache_enabled()
+        explain_program("compress")
+        assert not (tmp_path / "attribution").exists()
 
 
 class TestExplain:

@@ -130,32 +130,27 @@ class TestObservabilityCli:
     ):
         cache_dir = tmp_path / "cache"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
-        monkeypatch.delenv("REPRO_ANALYSIS_CACHE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_ATTRIBUTION_CACHE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_FUZZ_DIR", raising=False)
         os.makedirs(cache_dir)
         (cache_dir / "entry.json").write_text("{}")
         assert main(["cache", "info"]) == 0
         output = capsys.readouterr().out
         assert "profile cache:" in output
         assert "analysis cache:" in output
+        assert "codegen cache:" in output
         assert "attribution cache:" in output
         assert "fuzz corpus:" in output
         assert "run ledger:" in output
         assert "oldest:" in output and "newest:" in output
-        # The profile cache has one entry; the analysis cache, the
-        # attribution cache, the fuzz corpus, and the run ledger are
+        # The profile cache has one entry; the analysis, codegen and
+        # attribution caches, the fuzz corpus, and the run ledger are
         # empty.
-        assert output.count("oldest:    -") == 4
+        assert output.count("oldest:    -") == 5
 
     def test_cache_clear_reports_per_cache(
         self, tmp_path, monkeypatch, capsys
     ):
         cache_dir = tmp_path / "cache"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
-        monkeypatch.delenv("REPRO_ANALYSIS_CACHE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_ATTRIBUTION_CACHE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_FUZZ_DIR", raising=False)
         os.makedirs(cache_dir / "analysis")
         os.makedirs(cache_dir / "attribution")
         os.makedirs(cache_dir / "fuzz")
@@ -165,10 +160,10 @@ class TestObservabilityCli:
         (cache_dir / "fuzz" / ("a" * 64 + ".c")).write_text("int x;\n")
         assert main(["cache", "clear"]) == 0
         output = capsys.readouterr().out
-        assert "profile cache: removed 1 entries" in output
-        assert "analysis cache: removed 1 entries" in output
-        assert "attribution cache: removed 1 entries" in output
-        assert "fuzz corpus: removed 1 entries" in output
+        assert "profile cache: removed 1 files" in output
+        assert "analysis cache: removed 1 files" in output
+        assert "attribution cache: removed 1 files" in output
+        assert "fuzz corpus: removed 1 files" in output
         assert str(cache_dir) in output
         assert not (cache_dir / "entry.json").exists()
         assert not (
@@ -180,9 +175,8 @@ class TestObservabilityCli:
 class TestFuzzCli:
     @pytest.fixture
     def fuzz_dir(self, tmp_path, monkeypatch):
-        corpus = tmp_path / "fuzz-corpus"
-        monkeypatch.setenv("REPRO_FUZZ_DIR", str(corpus))
-        return corpus
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        return tmp_path / "fuzz"
 
     def test_fuzz_run_is_deterministic_across_jobs(self, fuzz_dir, capsys):
         assert main(["fuzz", "run", "--seed", "0", "--count", "4",
@@ -238,14 +232,11 @@ class TestFuzzCli:
         assert "nothing to shrink" in capsys.readouterr().err
 
     def test_fuzz_shrink_reduces_failing_case(
-        self, fuzz_dir, tmp_path, monkeypatch, capsys
+        self, fuzz_dir, monkeypatch, capsys
     ):
         import repro.analysis.session as session_mod
         from repro.fuzz import generate_source, save_case
 
-        monkeypatch.setenv(
-            "REPRO_ANALYSIS_CACHE_DIR", str(tmp_path / "analysis")
-        )
         real_solve = session_mod.solve_flow_system
 
         def bad_solve(cfg, transitions, method="auto"):

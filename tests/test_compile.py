@@ -269,28 +269,29 @@ def test_result_types_cover_every_builtin():
 # The codegen cache.
 
 
-def test_codegen_cache_round_trip(tmp_path):
+def test_codegen_cache_round_trip(tmp_path, monkeypatch):
     program = registry.load_program("xl00")
     from repro.compile.lower import lower_program
 
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     lowered = lower_program(program)
     key = codegen_cache.codegen_cache_key(program.source)
-    directory = str(tmp_path)
-    assert codegen_cache.load_cached_code(key, directory) is None
+    assert codegen_cache.load_cached_code(key) is None
     code = compile(lowered.source, "<test>", "exec")
-    codegen_cache.store_code(key, lowered.source, code, directory)
-    loaded = codegen_cache.load_cached_code(key, directory)
+    codegen_cache.store_code(key, lowered.source, code)
+    loaded = codegen_cache.load_cached_code(key)
     assert loaded is not None
     namespace: dict[str, object] = {}
     exec(loaded, namespace)
     assert set(namespace["FACTORIES"]) == set(
         program.function_names
     ) - set(lowered.fallback)
-    info = codegen_cache.codegen_cache_info(directory)
-    assert info["entries"] == 2  # .py source + .code marshal blob
+    info = codegen_cache.NAMESPACE.info()
+    assert info["directory"] == str(tmp_path / "codegen")
+    assert info["entries"] == 1  # one key: .py source + .code blob
     assert info["bytes"] > 0
-    assert codegen_cache.clear_codegen_cache(directory) == 2
-    assert codegen_cache.codegen_cache_info(directory)["entries"] == 0
+    assert codegen_cache.NAMESPACE.clear() == 2
+    assert codegen_cache.NAMESPACE.info()["entries"] == 0
 
 
 def test_codegen_cache_key_tracks_compile_version(monkeypatch):
@@ -450,7 +451,7 @@ def test_compile_metrics_and_spans(monkeypatch, tmp_path):
         trace_roots,
     )
 
-    monkeypatch.setenv("REPRO_CODEGEN_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     program = Program.from_source(
         "int main(void) { return 0; }", "<obs-compile>"
     )

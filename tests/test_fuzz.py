@@ -9,12 +9,10 @@ import pytest
 import repro.analysis.session as session_mod
 import repro.linalg.sparse as sparse_mod
 from repro.analysis.session import AnalysisSession
+from repro.fuzz import corpus
 from repro.fuzz import (
     CaseOutcome,
     check_program,
-    clear_corpus,
-    corpus_dir,
-    corpus_info,
     derive_case_seed,
     fuzz_run,
     generate_program,
@@ -38,23 +36,20 @@ SMALL_SEEDS = (74, 89, 4)
 
 @pytest.fixture
 def fuzz_corpus_dir(tmp_path, monkeypatch):
-    corpus = tmp_path / "corpus"
-    monkeypatch.setenv("REPRO_FUZZ_DIR", str(corpus))
-    return str(corpus)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    return str(tmp_path / "fuzz")
 
 
 @pytest.fixture
 def markov_fault(monkeypatch, tmp_path):
     """Perturb every solved flow vector: a classic estimator bug.
 
-    Also points the analysis cache at a fresh directory — clean
+    Also points the store at a fresh directory — clean analysis
     results cached by other tests would otherwise mask the fault
     (exactly the staleness the cache_round_trip oracle isolates
     against with its own temp directory).
     """
-    monkeypatch.setenv(
-        "REPRO_ANALYSIS_CACHE_DIR", str(tmp_path / "analysis")
-    )
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     real_solve = session_mod.solve_flow_system
 
     def bad_solve(cfg, transitions, method="auto"):
@@ -226,9 +221,9 @@ class TestCorpus:
         assert len(key) == 64
 
     def test_list_info_and_clear(self, fuzz_corpus_dir):
-        assert corpus_dir() == fuzz_corpus_dir
+        assert corpus.NAMESPACE.directory == fuzz_corpus_dir
         assert list_cases() == []
-        assert corpus_info()["entries"] == 0
+        assert corpus.NAMESPACE.info()["entries"] == 0
         key_a = save_case("int main(void) { return 0; }\n", {"seed": 1})
         key_b = save_case("int main(void) { return 2; }\n", {"seed": 2})
         save_reduction(key_a, "int main(void) { }\n")
@@ -237,10 +232,10 @@ class TestCorpus:
         by_key = {case["key"]: case for case in cases}
         assert by_key[key_a]["has_reduction"] is True
         assert by_key[key_b]["has_reduction"] is False
-        info = corpus_info()
+        info = corpus.NAMESPACE.info()
         assert info["entries"] == 2
         assert info["bytes"] > 0
-        removed = clear_corpus()
+        removed = corpus.NAMESPACE.clear()
         assert removed == 5  # 2 sources + 2 metadata + 1 reduction
         assert list_cases() == []
 

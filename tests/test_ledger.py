@@ -397,16 +397,10 @@ class TestPipelineRecording:
         run_one("table2")
         assert ledger.list_runs() == []
 
-    def test_fuzz_run_records(self, ledger_dir, tmp_path):
+    def test_fuzz_run_records(self, ledger_dir):
         from repro.fuzz import fuzz_run
 
-        report = fuzz_run(
-            seed=7,
-            count=2,
-            jobs=1,
-            corpus_dir=str(tmp_path / "corpus"),
-            record=True,
-        )
+        report = fuzz_run(seed=7, count=2, jobs=1, record=True)
         assert not report.failures
         runs = ledger.list_runs()
         assert len(runs) == 1

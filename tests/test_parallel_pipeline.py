@@ -13,7 +13,8 @@ import os
 import pytest
 
 from repro.experiments import run_experiment
-from repro.profiles import cache_info, profiles_equal
+from repro.profiles import cache as profile_cache
+from repro.profiles import profiles_equal
 from repro.suite import (
     SUITE,
     clear_caches,
@@ -134,9 +135,12 @@ class TestDeterminism:
             for left, right in zip(serial[name], parallel[name]):
                 assert profiles_equal(left, right)
 
-    def test_fanout_populated_the_cache(self, serial_vs_parallel):
+    def test_fanout_populated_the_cache(
+        self, serial_vs_parallel, monkeypatch
+    ):
         *_, cache_dir = serial_vs_parallel
+        monkeypatch.setenv("REPRO_CACHE_DIR", cache_dir)
         expected = sum(
             len(program_inputs(name)) for name in program_names()
         )
-        assert cache_info(cache_dir)["entries"] == expected
+        assert profile_cache.NAMESPACE.info()["entries"] == expected

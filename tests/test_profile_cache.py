@@ -6,8 +6,6 @@ from repro.experiments import run_all
 from repro.interp.machine import Machine
 from repro.profiles import (
     Profile,
-    cache_info,
-    clear_cache,
     dumps_profile,
     load_cached_profile,
     loads_profile,
@@ -134,38 +132,25 @@ class TestCacheKey:
 
 
 class TestCacheStore:
-    def test_store_load_round_trip(self, branchy_profile, tmp_path):
+    @pytest.fixture(autouse=True)
+    def _private_root(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
+    def test_store_load_round_trip(self, branchy_profile):
         key = profile_cache_key(BRANCHY_SOURCE, "")
-        store_profile(key, branchy_profile, str(tmp_path))
-        loaded = load_cached_profile(key, str(tmp_path))
+        store_profile(key, branchy_profile)
+        loaded = load_cached_profile(key)
         assert loaded is not None
         assert profiles_equal(loaded, branchy_profile)
 
-    def test_missing_key_is_none(self, tmp_path):
-        assert load_cached_profile("0" * 64, str(tmp_path)) is None
+    def test_missing_key_is_none(self):
+        assert load_cached_profile("0" * 64) is None
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        key = "f" * 64
-        (tmp_path / f"{key}.json").write_text("{not json")
-        assert load_cached_profile(key, str(tmp_path)) is None
-
-    def test_source_edit_misses_cache(self, branchy_profile, tmp_path):
+    def test_source_edit_misses_cache(self, branchy_profile):
         key = profile_cache_key(BRANCHY_SOURCE, "")
-        store_profile(key, branchy_profile, str(tmp_path))
+        store_profile(key, branchy_profile)
         edited_key = profile_cache_key(BRANCHY_SOURCE + "\n// edit", "")
-        assert load_cached_profile(edited_key, str(tmp_path)) is None
-
-    def test_info_and_clear(self, branchy_profile, tmp_path):
-        directory = str(tmp_path)
-        for text in ("a", "b", "c"):
-            store_profile(
-                profile_cache_key("src", text), branchy_profile, directory
-            )
-        info = cache_info(directory)
-        assert info["entries"] == 3
-        assert info["bytes"] > 0
-        assert clear_cache(directory) == 3
-        assert cache_info(directory)["entries"] == 0
+        assert load_cached_profile(edited_key) is None
 
 
 class TestWarmCacheSkipsInterpretation:
