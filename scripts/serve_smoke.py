@@ -5,7 +5,9 @@ Starts ``python -m repro serve`` as a real subprocess, waits for its
 ready line, fires a 64-way concurrent burst mixing repeat sources,
 novel sources, and one malformed source (the structured-400 path),
 then checks ``/metrics`` for session-pool hits and per-tenant
-counters.  It then exercises the observability surface: a W3C
+counters.  Hostile sources (nesting and macro-expansion bombs,
+non-ASCII identifiers and digits) must each get a structured 400 with
+no internal error counted.  It then exercises the observability surface: a W3C
 ``traceparent`` round-trip, flight-recorder retention of injected
 errors (``/debug/traces?kind=errors``), span trees on ``/debug/slow``,
 and an on-demand flamegraph from ``/debug/profile``.  Finally it fires
@@ -48,6 +50,24 @@ REPEATS = 8
 DRAIN_WAVE = 16
 
 MALFORMED = "int main( { return 0 }\n"
+
+#: Sources past the frontend's input rules: each must be a 400 with a
+#: location, never a 500.
+HOSTILE = [
+    (
+        "parentheses",
+        "int f(int x) { return " + "(" * 200 + "x" + ")" * 200 + "; }\n",
+    ),
+    ("flat_sum", "int f(int x) { return x" + "+x" * 4999 + "; }\n"),
+    (
+        "macro_bomb",
+        "#define A x+x+x+x\n#define B A+A+A+A\n#define C B+B+B+B\n"
+        "#define D C+C+C+C\n#define E D+D+D+D\n#define F E+E+E+E\n"
+        "#define G F+F+F+F\nint f(int x) { return G; }\n",
+    ),
+    ("identifier", "int café = 1;\nint main(void) { return 0; }\n"),
+    ("digit", "int x;\nint main(void) { x = ²; return x; }\n"),
+]
 
 _CHECKS: list[bool] = []
 
@@ -189,6 +209,25 @@ def main() -> int:
             check(
                 needle in metrics, f"per-tenant counters ({needle})"
             )
+        for label, source in HOSTILE:
+            response = probe.analyze(source, name=f"{label}.c")
+            payload = (
+                response.payload if isinstance(response.payload, dict) else {}
+            )
+            check(
+                response.status == 400
+                and {"file", "line", "col"} <= set(payload),
+                f"hostile {label} -> structured 400 (got "
+                f"{response.status}, {payload.get('error')!r})",
+            )
+        metrics = probe.metrics()
+        internal = _metric_value(
+            metrics, "repro_serve_errors_total"
+        ) + _metric_value(metrics, 'repro_serve_errors_total{class="5xx"}')
+        check(
+            internal == 0,
+            f"no internal errors after hostile input ({internal:.0f})",
+        )
         health = probe.healthz().payload or {}
         check(
             health.get("status") == "ok"

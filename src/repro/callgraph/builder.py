@@ -126,19 +126,15 @@ def _count_address_taken(
     a pointer); explicit ``&f`` counts once, not twice.
     """
     counts: dict[str, int] = {}
+    # Pre-order visits each call before its callee, so one pass sees
+    # every callee id before the identifier itself.
     callee_ids: set[int] = set()
-    addressed_ids: set[int] = set()
     for node in unit.walk():
         if isinstance(node, ast.Call):
             target = _peel_callee(node.callee)
             if isinstance(target, ast.Identifier):
                 callee_ids.add(target.node_id)
-        elif isinstance(node, ast.AddressOf) and isinstance(
-            node.operand, ast.Identifier
-        ):
-            addressed_ids.add(node.operand.node_id)
-    for node in unit.walk():
-        if (
+        elif (
             isinstance(node, ast.Identifier)
             and node.binding == "function"
             and node.name in defined

@@ -1572,7 +1572,12 @@ def _finish_observability() -> None:
     if obs.tracing_enabled() and obs.trace_roots():
         path, count = obs.write_trace_jsonl()
         obs.diag(f"repro: wrote {count} spans to {path}")
-    if obs.metrics_snapshot() and (
+    # Every process accrues the collector's gc.* metrics; alone they do
+    # not make a command's snapshot worth keeping over the last one's.
+    recorded = any(
+        not name.startswith("gc.") for name in obs.metrics_snapshot()
+    )
+    if recorded and (
         store.enabled() or os.environ.get("REPRO_STATS_FILE")
     ):
         obs.write_stats()

@@ -45,10 +45,16 @@ class Node:
         return iter(())
 
     def walk(self) -> Iterator["Node"]:
-        """Pre-order traversal of this subtree."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Pre-order traversal of this subtree, on an explicit stack."""
+        stack: list[Node] = [self]
+        pop = stack.pop
+        extend = stack.extend
+        while stack:
+            node = pop()
+            yield node
+            children = list(node.children())
+            children.reverse()
+            extend(children)
 
 
 # ----------------------------------------------------------------------

@@ -8,20 +8,41 @@ rejected the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class SourceLocation:
     """A position in preprocessed source text.
 
     ``filename`` is the logical file name (tracks ``#include``), ``line``
-    and ``column`` are 1-based.
+    and ``column`` are 1-based.  Every token and AST node holds one, so
+    this is a plain slotted value class: cheap to build, compared and
+    hashed by its three fields.
     """
 
-    filename: str = "<input>"
-    line: int = 1
-    column: int = 1
+    __slots__ = ("filename", "line", "column")
+
+    def __init__(
+        self, filename: str = "<input>", line: int = 1, column: int = 1
+    ):
+        self.filename = filename
+        self.line = line
+        self.column = column
+
+    def _key(self) -> tuple[str, int, int]:
+        return (self.filename, self.line, self.column)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"SourceLocation(filename={self.filename!r}, "
+            f"line={self.line!r}, column={self.column!r})"
+        )
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"

@@ -14,11 +14,19 @@ take the merged value last-writer-wins.
 Rendering: :func:`render_metrics` produces the human table behind
 ``repro stats``; :func:`render_prometheus` the ``--format prom``
 text-exposition view.
+
+Importing this module installs one :data:`gc.callbacks` hook that times
+every cyclic-GC collection into ``gc.pause_ms{generation=N}`` and counts
+it in ``gc.collections{generation=N}``.  A collection pauses whichever
+span happens to allocate, so these are the only way to tell collector
+time from the work it interrupted.
 """
 
 from __future__ import annotations
 
+import gc
 import re
+import time
 from typing import Optional, Union
 
 Number = Union[int, float]
@@ -204,6 +212,33 @@ def histogram_sums(prefix: str) -> dict[str, float]:
         if isinstance(_REGISTRY[name], Histogram)
         and name.startswith(prefix)
     }
+
+
+#: Registry names of the collector metrics, indexed by generation.
+_GC_METRICS = [
+    (
+        f"gc.pause_ms{{generation={generation}}}",
+        f"gc.collections{{generation={generation}}}",
+    )
+    for generation in range(3)
+]
+_gc_started = 0.0
+
+
+def _record_gc(phase: str, info: dict) -> None:
+    """The :data:`gc.callbacks` hook: one pause and one count per
+    collection.  Collections never nest and hold the GIL, so one start
+    time serves every thread."""
+    global _gc_started
+    if phase == "start":
+        _gc_started = time.perf_counter()
+        return
+    pause, collections = _GC_METRICS[info["generation"]]
+    observe(pause, (time.perf_counter() - _gc_started) * 1000.0)
+    incr(collections)
+
+
+gc.callbacks.append(_record_gc)
 
 
 def reset_metrics() -> None:

@@ -4,6 +4,7 @@ exporters, and the cross-process determinism guarantees."""
 from __future__ import annotations
 
 import contextvars
+import gc
 import json
 import threading
 
@@ -14,11 +15,20 @@ from repro import obs
 
 @pytest.fixture(autouse=True)
 def _clean_obs():
-    """Every test starts and ends with tracing off and empty state."""
+    """Every test starts and ends with tracing off and empty state.
+
+    Automatic garbage collection is paused meanwhile: each collection
+    lands ``gc.*`` metrics in the registry, which would make the exact
+    snapshots asserted here depend on allocation timing.
+    """
     obs.disable_tracing()
     obs.reset_trace()
     obs.reset_metrics()
+    collecting = gc.isenabled()
+    gc.disable()
     yield
+    if collecting:
+        gc.enable()
     obs.disable_tracing()
     obs.reset_trace()
     obs.reset_metrics()
@@ -92,6 +102,17 @@ class TestMetrics:
         assert snapshot["h"]["min"] == 1.0
         assert snapshot["h"]["max"] == 10.0
         assert snapshot["g"]["value"] == 9
+
+    def test_forced_collection_records_pause_and_count(self):
+        before = obs.metrics_snapshot()
+        gc.collect()
+        delta = obs.metrics_delta(before)
+        assert delta["gc.collections{generation=2}"]["value"] == 1
+        pause = delta["gc.pause_ms{generation=2}"]
+        assert pause["count"] == 1 and pause["sum"] >= 0.0
+        prom = obs.render_prometheus()
+        assert 'repro_gc_collections_total{generation="2"} 1' in prom
+        assert 'repro_gc_pause_ms_count{generation="2"} 1' in prom
 
     def test_render_table(self):
         obs.incr("cache.hits", 3)
