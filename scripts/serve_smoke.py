@@ -2,15 +2,20 @@
 """CI smoke test for the analysis daemon.
 
 Starts ``python -m repro serve`` as a real subprocess, waits for its
-ready line, fires a 64-way concurrent burst mixing repeat sources,
-novel sources, and one malformed source (the structured-400 path),
-then checks ``/metrics`` for session-pool hits and per-tenant
-counters.  Hostile sources (nesting and macro-expansion bombs,
-non-ASCII identifiers and digits) must each get a structured 400 with
-no internal error counted.  It then exercises the observability surface: a W3C
-``traceparent`` round-trip, flight-recorder retention of injected
-errors (``/debug/traces?kind=errors``), span trees on ``/debug/slow``,
-and an on-demand flamegraph from ``/debug/profile``.  Finally it fires
+ready line, and sends a cold pass of novel sources followed by warm
+repeats of the same sources: every warm answer must come from the
+session pool (``server.cache == "hit"``, and ``serve.pool.hits`` grows
+by at least the number of warm repeats) and the warm median latency
+must stay below the cold one.  It then fires a 64-way concurrent burst
+mixing repeat sources, novel sources, and one malformed source (the
+structured-400 path), and checks ``/metrics`` for session-pool hits
+and per-tenant counters.  Hostile sources (nesting and
+macro-expansion bombs, non-ASCII identifiers and digits) must each get
+a structured 400 with no internal error counted.  It then exercises
+the observability surface: a W3C ``traceparent`` round-trip,
+flight-recorder retention of injected errors
+(``/debug/traces?kind=errors``), span trees on ``/debug/slow``, and an
+on-demand flamegraph from ``/debug/profile``.  Finally it fires
 a second wave and SIGTERMs the server while that wave is in flight:
 every accepted request must complete (200) or be refused up front
 (503) — never dropped — and the process must exit 0 (clean drain).
@@ -48,6 +53,9 @@ ROUNDS = 2
 REPEATS = 8
 #: Clients in the in-flight wave that SIGTERM interrupts.
 DRAIN_WAVE = 16
+#: Sources in the cold/warm pool check, and warm passes over them.
+POOL_SOURCES = 8
+POOL_ROUNDS = 2
 
 MALFORMED = "int main( { return 0 }\n"
 
@@ -135,6 +143,57 @@ def main() -> int:
         print(f"daemon ready at {host}:{port} (pid {process.pid})")
 
         # ------------------------------------------------------------
+        # Pool: a cold pass, then warm repeats answered from the pool.
+        # The pid salt keeps the cold pass cold when the disk analysis
+        # cache survives from an earlier smoke run.
+        probe = ServeClient(host, port, timeout=30)
+        pool_sources = [
+            _source(4000 + index) + f"// smoke {process.pid}\n"
+            for index in range(POOL_SOURCES)
+        ]
+        hits_before = _metric_value(
+            probe.metrics(), "repro_serve_pool_hits_total"
+        )
+        cold: list[float] = []
+        warm: list[float] = []
+        warm_caches: list[object] = []
+        for round_ in range(1 + POOL_ROUNDS):
+            for index, source in enumerate(pool_sources):
+                clock = time.perf_counter()
+                response = probe.analyze(source, name=f"pool{index}.c")
+                elapsed = time.perf_counter() - clock
+                if round_ == 0:
+                    cold.append(elapsed)
+                    continue
+                warm.append(elapsed)
+                warm_caches.append(
+                    response.payload["server"]["cache"]
+                    if response.status == 200
+                    else response.status
+                )
+        hits_after_pool = _metric_value(
+            probe.metrics(), "repro_serve_pool_hits_total"
+        )
+        pool_hits = hits_after_pool - hits_before
+        check(
+            warm_caches == ["hit"] * len(warm),
+            f"every warm repeat is a pool hit ({warm_caches.count('hit')}"
+            f"/{len(warm)})",
+        )
+        check(
+            pool_hits >= len(warm),
+            f"serve.pool.hits grew by {pool_hits:.0f} over {len(warm)} "
+            "warm repeats",
+        )
+        cold_p50 = _percentile(cold, 0.50)
+        warm_p50 = _percentile(warm, 0.50)
+        check(
+            warm_p50 < cold_p50,
+            f"warm p50 {warm_p50 * 1000:.2f}ms below cold p50 "
+            f"{cold_p50 * 1000:.2f}ms",
+        )
+
+        # ------------------------------------------------------------
         # Burst: repeat + novel + one malformed source, two tenants.
         statuses: list[int] = []
         latencies: list[float] = []
@@ -200,9 +259,11 @@ def main() -> int:
 
         # ------------------------------------------------------------
         # Metrics: pool hits and per-tenant counters must be visible.
-        probe = ServeClient(host, port, timeout=30)
         metrics = probe.metrics()
-        hits = _metric_value(metrics, "repro_serve_pool_hits_total")
+        hits = (
+            _metric_value(metrics, "repro_serve_pool_hits_total")
+            - hits_after_pool
+        )
         check(hits > 0, f"session pool served repeats ({hits:.0f} hits)")
         for tenant in ("smoke0", "smoke1"):
             needle = f'tenant="{tenant}"'
@@ -392,6 +453,10 @@ def main() -> int:
                 "p99": round(_percentile(latencies, 0.99), 5),
             },
             "pool_hits": hits,
+            "pool_latency_s": {
+                "cold_p50": round(cold_p50, 5),
+                "warm_p50": round(warm_p50, 5),
+            },
             "drain": {
                 "wave": DRAIN_WAVE,
                 "served": served,

@@ -261,7 +261,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         max_inflight=args.max_inflight,
-        batch_window_ms=args.batch_window_ms,
         request_timeout_s=args.timeout,
         record=args.record,
         access_log_dir=args.access_log,
@@ -283,7 +282,6 @@ def _render_trace_record(record: dict) -> str:
         f"{float(record.get('elapsed_ms') or 0.0):9.3f}ms "
         f"cache={col(record.get('cache')):4} "
         f"queue={queue_text:>9} "
-        f"batch={col(record.get('batch_size')):>2} "
         f"shard={col(record.get('pool_shard')):>2} "
         f"{col(record.get('tenant'), 'anon')} "
         f"{col(record.get('name') or record.get('path'))}"
@@ -1048,15 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "admitted analyze requests beyond which new ones get "
             "429 + Retry-After (default: 128)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        help=(
-            "micro-batch window; identical requests arriving within "
-            "it share one computation (default: 2.0)"
         ),
     )
     serve_parser.add_argument(

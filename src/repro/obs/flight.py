@@ -16,12 +16,12 @@ tail-sampling retention policy:
   are rare.
 
 A record is a plain JSON-able dict: trace/request ids, route, tenant,
-status, elapsed, cache/batch/pool attributes, and the request's full
+status, elapsed, cache/queue/pool attributes, and the request's full
 span tree (``spans``).  ``GET /debug/traces`` and ``GET /debug/slow``
 expose the rings; ``repro traces`` renders them client-side.
 
 The :class:`AccessLog` emits one structured JSON line per request —
-trace id, tenant, status, cache hit, queue wait, batch size, elapsed —
+trace id, tenant, status, cache hit, queue wait, elapsed —
 through :func:`repro.obs.diag` (stderr) and, when a directory is
 configured (``--access-log`` / ``REPRO_ACCESS_LOG_DIR``), into a
 size-rotated on-disk log.
@@ -79,9 +79,9 @@ def build_record(
 ) -> dict:
     """One flight-recorder record for a completed request.
 
-    Pulls the scheduling attributes (queue wait, batch size, pool
-    shard, coalescing links) out of the span tree so every record
-    answers "where did the time go" without re-walking spans.
+    Pulls the scheduling attributes (queue wait, pool shard,
+    coalescing links) out of the span tree so every record answers
+    "where did the time go" without re-walking spans.
     """
     record: dict = {
         "trace_id": trace_id,
@@ -107,9 +107,7 @@ def build_record(
                 record[key] = attrs[key]
     batch = find_span(spans, "serve.batch")
     if batch is not None:
-        attrs = batch.get("attrs", {})
-        record["queue_wait_ms"] = attrs.get("queue_wait_ms")
-        record["batch_size"] = attrs.get("batch_size")
+        record["queue_wait_ms"] = batch.get("attrs", {}).get("queue_wait_ms")
     analyze = find_span(spans, "serve.analyze")
     if analyze is not None and "pool_shard" in analyze.get("attrs", {}):
         record["pool_shard"] = analyze["attrs"]["pool_shard"]

@@ -25,7 +25,7 @@ when process-wide tracing is off.  :func:`request_buffer` installs a
 buffer instead of the process-global root list.  Because the buffer
 lives in a contextvar, it follows the request across ``await`` points,
 and a ``contextvars.copy_context()`` hop carries it onto worker
-threads (the micro-batching scheduler does exactly that), so spans
+threads (the single-flight scheduler does exactly that), so spans
 opened on a worker still parent under the request span.
 """
 

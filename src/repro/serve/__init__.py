@@ -9,14 +9,14 @@ estimator pipeline into a long-lived, multi-tenant service:
   .AnalysisSession` so the HTTP surface can never drift from the CLI;
 * :mod:`repro.serve.pool` — sharded in-memory LRU of warmed sessions
   keyed by content hash, in front of the on-disk caches;
-* :mod:`repro.serve.scheduler` — micro-batching with coalescing of
-  identical requests inside one batch window;
+* :mod:`repro.serve.scheduler` — single-flight dispatch: identical
+  requests that arrive while one is running share its computation;
 * :mod:`repro.serve.app` — routing, backpressure (429), timeouts
   (504), drain (503), per-tenant metrics, ledger recording;
 * :mod:`repro.serve.http` — the asyncio transport and the SIGTERM
   drain choreography (plus :func:`start_in_thread` for tests);
 * :mod:`repro.serve.client` — a stdlib blocking client used by the
-  tests, the load-generating benchmark, and the CI smoke job.
+  tests and the CI smoke job.
 
 Endpoints: ``POST /v1/analyze``, ``GET /healthz``, ``GET /metrics``
 (live Prometheus text over the :mod:`repro.obs` registry),
@@ -47,10 +47,9 @@ from repro.serve.report import (
     prediction_lines,
     validate_request,
 )
-from repro.serve.scheduler import Batcher
+from repro.serve.scheduler import SingleFlight
 
 __all__ = [
-    "Batcher",
     "DEFAULT_BACKEND",
     "DEFAULT_ESTIMATORS",
     "INTER_BACKENDS",
@@ -62,6 +61,7 @@ __all__ = [
     "ServeConfig",
     "ServeResponse",
     "SessionPool",
+    "SingleFlight",
     "build_report",
     "content_hash",
     "prediction_lines",

@@ -1,7 +1,7 @@
 """Transport-independent core of the analysis daemon.
 
 :class:`ServeApp` owns everything between the HTTP socket and the
-estimator pipeline: the sharded session pool, the micro-batching
+estimator pipeline: the sharded session pool, the single-flight
 scheduler, inflight accounting and backpressure, per-tenant metrics,
 the drain state machine, and the optional end-of-life ledger record.
 The HTTP layer (:mod:`repro.serve.http`) only parses bytes and calls
@@ -17,8 +17,9 @@ Request lifecycle for ``POST /v1/analyze``:
 4. body parsed and validated → 400 with a structured error on any
    malformed shape, including :meth:`FrontendError.diagnostic` as
    ``{error, file, line, col, trace_id}`` for rejected source;
-5. the request parks in the batcher (identical sources coalesce),
-   runs on a worker thread against the session pool, and must finish
+5. the request goes straight to a worker thread, where it runs
+   against the session pool, unless an identical request is already
+   in flight, whose result it then shares; either way it must finish
    inside ``request_timeout_s`` → 504 otherwise;
 6. the response carries ``traceparent`` + ``X-Repro-Trace-Id``; the
    completed trace lands in the flight recorder
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import re
 import time
 import urllib.parse
@@ -62,14 +64,14 @@ from repro.obs import (
     span,
 )
 from repro.obs.flight import AccessLog, FlightRecorder, build_record
-from repro.serve.pool import DEFAULT_MAX_BYTES, DEFAULT_SHARDS, SessionPool
+from repro.serve.pool import SessionPool
 from repro.serve.report import (
     RequestError,
     build_report,
     content_hash,
     validate_request,
 )
-from repro.serve.scheduler import Batcher
+from repro.serve.scheduler import SingleFlight
 
 #: Upper bound on accepted request bodies (sources beyond this are
 #: not programs anyone analyzes interactively).
@@ -84,19 +86,11 @@ class ServeConfig:
     port: int = 8787
     workers: int = 4
     max_inflight: int = 128
-    batch_window_ms: float = 2.0
     request_timeout_s: float = 30.0
     max_body_bytes: int = DEFAULT_MAX_BODY
-    pool_bytes: int = DEFAULT_MAX_BYTES
-    pool_shards: int = DEFAULT_SHARDS
     #: Record the serving run (uptime, traffic counters) in the ledger
     #: on shutdown.
     record: bool = False
-    #: Flight-recorder ring sizes (recent requests / retained
-    #: failures / slowest-requests heap).
-    flight_recent: int = 256
-    flight_errors: int = 256
-    flight_slow: int = 32
     #: Directory for the rotated on-disk access log (None: stderr
     #: only; also settable via ``REPRO_ACCESS_LOG_DIR``).
     access_log_dir: Optional[str] = None
@@ -174,15 +168,8 @@ class ServeApp:
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
-        self.pool = SessionPool(
-            max_bytes=self.config.pool_bytes,
-            shards=self.config.pool_shards,
-        )
-        self.flight = FlightRecorder(
-            recent=self.config.flight_recent,
-            errors=self.config.flight_errors,
-            slow=self.config.flight_slow,
-        )
+        self.pool = SessionPool()
+        self.flight = FlightRecorder()
         self.access_log = AccessLog(
             directory=self.config.access_log_dir
         )
@@ -195,19 +182,15 @@ class ServeApp:
         self.started_monotonic = time.monotonic()
         self.started_at: Optional[str] = None
         self._metrics_before = metrics_snapshot()
-        self._batcher: Optional[Batcher] = None
+        self._flights: Optional[SingleFlight] = None
         self._idle: Optional[asyncio.Event] = None
 
     # ------------------------------------------------------------------
     # Event-loop binding (the app is constructed before the loop runs).
 
     def bind_loop(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Attach the batcher and drain event to the serving loop."""
-        self._batcher = Batcher(
-            loop,
-            self.executor,
-            batch_window_ms=self.config.batch_window_ms,
-        )
+        """Attach the scheduler and drain event to the serving loop."""
+        self._flights = SingleFlight(loop, self.executor)
         self._idle = asyncio.Event()
         self._idle.set()
 
@@ -340,6 +323,10 @@ class ServeApp:
             limit = int(params.get("limit", "0")) or None
         except ValueError:
             limit = None
+        if limit is not None and limit < 0:
+            return _json_response(
+                400, {"error": "limit must not be negative"}
+            )
         if slow:
             records = self.flight.slow(limit)
         elif params.get("kind") == "errors":
@@ -357,9 +344,13 @@ class ServeApp:
             seconds = float(params.get("seconds", "2"))
             interval_ms = float(params.get("interval_ms", "5"))
         except ValueError:
+            seconds = interval_ms = math.nan
+        # NaN passes the min/max clamps unchanged, and sleeping for NaN
+        # leaves an unordered deadline in the event loop's timer heap.
+        if not (math.isfinite(seconds) and math.isfinite(interval_ms)):
             return _json_response(
                 400,
-                {"error": "seconds and interval_ms must be numbers"},
+                {"error": "seconds and interval_ms must be finite numbers"},
             )
         seconds = min(max(seconds, 0.05), 60.0)
         interval_ms = min(max(interval_ms, 1.0), 100.0)
@@ -460,9 +451,9 @@ class ServeApp:
                 request["backend"],
                 request["attribution"],
             )
-            assert self._batcher is not None, "bind_loop() not called"
+            assert self._flights is not None, "bind_loop() not called"
             report, was_hit = await asyncio.wait_for(
-                self._batcher.submit(
+                self._flights.submit(
                     key, lambda: self._analyze(request)
                 ),
                 timeout=self.config.request_timeout_s,
@@ -562,8 +553,6 @@ class ServeApp:
         if not self.draining:
             self.draining = True
             incr("serve.drains")
-            if self._batcher is not None:
-                self._batcher.drain()
 
     async def wait_drained(self, timeout: Optional[float] = None) -> bool:
         """Wait for in-flight work to finish; True when fully drained."""

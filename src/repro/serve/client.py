@@ -1,9 +1,9 @@
 """Blocking client for the analysis daemon (stdlib ``http.client``).
 
-Used three ways: by the serving tests (drive the real socket path), by
-``benchmarks/test_bench_serve.py`` (the load generator), and by the CI
-smoke job.  Nothing here depends on the server internals — it is an
-ordinary HTTP client any consumer could write.
+Used two ways: by the serving tests (drive the real socket path) and
+by the CI smoke job (``scripts/serve_smoke.py``).  Nothing here
+depends on the server internals — it is an ordinary HTTP client any
+consumer could write.
 
 Trace propagation: pass ``traceparent=`` per call (or set a client
 default) and the daemon joins that W3C trace instead of minting a

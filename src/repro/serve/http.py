@@ -232,8 +232,7 @@ def serve_forever(config: ServeConfig) -> int:
         print(f"serving on http://{host}:{port}", flush=True)
         diag(
             f"repro serve: workers={config.workers} "
-            f"max-inflight={config.max_inflight} "
-            f"batch-window={config.batch_window_ms}ms"
+            f"max-inflight={config.max_inflight}"
         )
         if app.access_log.directory:
             diag(

@@ -1,38 +1,40 @@
-"""Micro-batching request scheduler for the analysis daemon.
+"""Single-flight request dispatch for the analysis daemon.
 
-Incoming analyze requests are not dispatched one by one: each request
-parks in a pending batch for at most ``batch_window_ms``; when the
-window closes (or the batch fills), the whole batch flushes at once.
-Batching buys two things:
-
-* **coalescing** — requests in the same window carrying the same
-  (content hash, options) key are served by *one* computation, and
-  every waiter gets the same result object (counted as
-  ``serve.batch.coalesced``).  Under a thundering herd of identical
-  sources the pipeline runs once per window, not once per request.
-* **amortized dispatch** — one event-loop wakeup moves a whole batch
-  to the worker threads instead of one timer per request.
+The first analyze request for a key — (content hash, estimators,
+backend, attribution) — sends its computation to the worker threads at
+once.  Identical requests that arrive while that computation runs
+await the same result instead of starting a second copy (counted as
+``serve.batch.coalesced``); under a thundering herd of identical
+sources the pipeline runs once per flight, not once per request.  The
+entry leaves the in-flight map when the job finishes or fails, so the
+next identical request computes again (the session pool makes that
+cheap).
 
 The scheduler is transport-agnostic: callers ``await submit(key,
 thunk)`` where ``thunk`` is the synchronous computation to run on a
 worker thread.  Cancellation of one waiter never cancels the shared
-computation (other waiters may be parked on it).
+computation (other waiters may be parked on it), and a job whose
+waiters have all timed out stays in the map until it settles, so
+identical requests join it rather than start another.
 
 Tracing: ``loop.run_in_executor`` does **not** carry contextvars onto
 the worker thread, so each job captures ``contextvars.copy_context()``
-at submit time and the flush dispatches ``context.run(job)``.  The
-copied context holds the submitting request's span and trace buffer,
-so the worker-side ``serve.batch`` span (and everything the pipeline
-opens beneath it) parents under that request's ``serve.request`` span.
-Requests that *coalesce* onto an existing job run in the owner's
-context; their own request spans instead carry ``coalesced=True`` plus
+at submit time and runs inside it.  The copied context holds the
+submitting request's span and trace buffer, so the worker-side
+``serve.batch`` span (and everything the pipeline opens beneath it)
+parents under that request's ``serve.request`` span.  Requests that
+*coalesce* onto an existing job run in the owner's context; their own
+request spans instead carry ``coalesced=True`` plus
 ``link_trace``/``link_job`` attributes pointing at the owner's trace
 and the shared job id — a span link, not a parent edge.
 
-Histograms: ``serve.batch.size`` (unique jobs per flush),
-``serve.batch.requests`` (waiters per flush), and
-``serve.batch.queue_wait_ms`` (submit→dispatch latency, also recorded
-on every ``serve.batch`` span).
+Histograms, both observed on the loop thread when a job settles:
+``serve.batch.requests`` (waiters per job) and
+``serve.batch.queue_wait_ms`` (submit until a worker thread starts the
+job, which includes any wait for a free thread; also recorded on every
+``serve.batch`` span).  The ``serve.batch`` names predate single-flight
+dispatch and are kept because the repository benchmark reads them from
+``/metrics``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import time
-from typing import Awaitable, Callable, Hashable, Optional
+from typing import Awaitable, Callable, Hashable
 
 from repro.obs import (
     current_span,
@@ -51,16 +53,12 @@ from repro.obs import (
     span,
 )
 
-#: Flush even a partially filled window once this many unique jobs
-#: are parked (keeps worst-case latency bounded under load).
-DEFAULT_MAX_BATCH = 64
 
-
-class _PendingJob:
-    """One parked computation and everyone waiting on it."""
+class _Flight:
+    """One running computation and everyone waiting on it."""
 
     __slots__ = (
-        "thunk", "waiters", "context", "submitted", "trace_id", "job_id"
+        "thunk", "waiters", "submitted", "waited_ms", "trace_id", "job_id"
     )
 
     def __init__(
@@ -68,122 +66,78 @@ class _PendingJob:
     ) -> None:
         self.thunk = thunk
         self.waiters: list[asyncio.Future] = [waiter]
-        #: Snapshot of the submitting request's context (span parent,
-        #: trace buffer) — re-entered on the worker thread.
-        self.context = contextvars.copy_context()
         self.submitted = time.perf_counter()
+        self.waited_ms = 0.0
         self.trace_id = current_trace_id()
         #: Shared computation id: coalesced requests link to it.
         self.job_id = new_span_id()
 
+    def run(self) -> object:
+        """The worker-thread body, run inside the submitter's context."""
+        self.waited_ms = (time.perf_counter() - self.submitted) * 1000.0
+        with span(
+            "serve.batch",
+            job=self.job_id,
+            queue_wait_ms=round(self.waited_ms, 3),
+        ):
+            return self.thunk()
 
-class Batcher:
-    """Window-based coalescing dispatcher over a thread executor."""
 
-    def __init__(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        executor,
-        batch_window_ms: float = 2.0,
-        max_batch: int = DEFAULT_MAX_BATCH,
-    ) -> None:
+class SingleFlight:
+    """Coalesce identical in-flight computations over a thread executor.
+
+    :meth:`submit` and the jobs' done-callbacks both run on the event
+    loop's thread, so the in-flight map needs no lock.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, executor) -> None:
         self._loop = loop
         self._executor = executor
-        self._window_s = max(0.0, batch_window_ms) / 1000.0
-        self._max_batch = max(1, max_batch)
-        self._pending: dict[Hashable, _PendingJob] = {}
-        self._flush_handle: Optional[asyncio.Handle] = None
+        self._inflight: dict[Hashable, _Flight] = {}
 
     def submit(
         self, key: Hashable, thunk: Callable[[], object]
     ) -> Awaitable[object]:
-        """Park one request; resolves with ``thunk()``'s result.
+        """Run ``thunk()`` on a worker, or join the run already in
+        flight for ``key``; resolves with its result.
 
-        Requests sharing ``key`` within one window share one
-        execution.  Returns a future the caller awaits (wrap in
+        Returns a future the caller awaits (wrap in
         ``asyncio.wait_for`` for per-request timeouts; the shared
         computation itself is never cancelled).
         """
         waiter: asyncio.Future = self._loop.create_future()
-        entry = self._pending.get(key)
-        if entry is not None:
-            entry.waiters.append(waiter)
+        flight = self._inflight.get(key)
+        if flight is not None:
+            flight.waiters.append(waiter)
             incr("serve.batch.coalesced")
             current_span().set(
                 coalesced=True,
-                link_trace=entry.trace_id,
-                link_job=entry.job_id,
+                link_trace=flight.trace_id,
+                link_job=flight.job_id,
             )
         else:
-            entry = _PendingJob(thunk, waiter)
-            self._pending[key] = entry
-            current_span().set(link_job=entry.job_id)
-            if len(self._pending) >= self._max_batch:
-                self._flush()
-            elif self._flush_handle is None:
-                if self._window_s <= 0.0:
-                    self._flush_handle = self._loop.call_soon(self._flush)
-                else:
-                    self._flush_handle = self._loop.call_later(
-                        self._window_s, self._flush
-                    )
-        # Shield the shared execution from one waiter's cancellation
-        # (a timed-out request must not kill its batch-mates' result).
-        return asyncio.shield(waiter)
-
-    def _flush(self) -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        batch = self._pending
-        if not batch:
-            return
-        self._pending = {}
-        jobs = len(batch)
-        observe("serve.batch.size", jobs)
-        observe(
-            "serve.batch.requests",
-            sum(len(entry.waiters) for entry in batch.values()),
-        )
-        now = time.perf_counter()
-        for key, entry in batch.items():
-            waited_ms = (now - entry.submitted) * 1000.0
-            observe("serve.batch.queue_wait_ms", waited_ms)
-
-            def job(
-                entry: _PendingJob = entry,
-                jobs: int = jobs,
-                waited_ms: float = waited_ms,
-            ) -> object:
-                with span(
-                    "serve.batch",
-                    job=entry.job_id,
-                    batch_size=jobs,
-                    waiters=len(entry.waiters),
-                    queue_wait_ms=round(waited_ms, 3),
-                ):
-                    return entry.thunk()
-
+            flight = _Flight(thunk, waiter)
+            current_span().set(link_job=flight.job_id)
             task = self._loop.run_in_executor(
-                self._executor, entry.context.run, job
+                self._executor, contextvars.copy_context().run, flight.run
             )
             task.add_done_callback(
-                lambda done, entry=entry: self._settle(
-                    done, entry.waiters
-                )
+                lambda done: self._settle(key, flight, done)
             )
+            self._inflight[key] = flight
+        # A timed-out request cancels only this shield, never the
+        # waiter the job resolves.
+        return asyncio.shield(waiter)
 
-    @staticmethod
-    def _settle(done: asyncio.Future, waiters: list[asyncio.Future]) -> None:
+    def _settle(
+        self, key: Hashable, flight: _Flight, done: asyncio.Future
+    ) -> None:
+        del self._inflight[key]
+        observe("serve.batch.queue_wait_ms", flight.waited_ms)
+        observe("serve.batch.requests", len(flight.waiters))
         error = done.exception()
-        for waiter in waiters:
-            if waiter.cancelled():
-                continue
+        for waiter in flight.waiters:
             if error is not None:
                 waiter.set_exception(error)
             else:
                 waiter.set_result(done.result())
-
-    def drain(self) -> None:
-        """Flush anything still parked (shutdown path)."""
-        self._flush()

@@ -44,7 +44,7 @@ SPANS = [
         "children": [
             {
                 "name": "serve.batch",
-                "attrs": {"queue_wait_ms": 1.25, "batch_size": 3},
+                "attrs": {"queue_wait_ms": 1.25},
                 "children": [
                     {
                         "name": "serve.analyze",
@@ -84,7 +84,6 @@ class TestBuildRecord:
         assert record["trace_id"] == "a" * 32
         assert record["elapsed_ms"] == 12.346  # rounded
         assert record["queue_wait_ms"] == 1.25
-        assert record["batch_size"] == 3
         assert record["pool_shard"] == 2
         assert record["parent_id"] == "b" * 16
         assert record["name"] == "req.c"

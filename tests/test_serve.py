@@ -1,7 +1,7 @@
 """Tests for the analysis daemon (``repro serve``).
 
 Covers the report builder (and its byte-equivalence with the CLI), the
-sharded session pool, the micro-batching scheduler, the HTTP surface
+sharded session pool, the single-flight scheduler, the HTTP surface
 end to end over a real socket, backpressure and drain semantics,
 per-tenant metrics, and the serving ledger record.
 """
@@ -24,11 +24,11 @@ from repro.obs import counter_value, render_prometheus
 from repro.obs import ledger
 from repro.program import Program
 from repro.serve import (
-    Batcher,
     RequestError,
     ServeClient,
     ServeConfig,
     SessionPool,
+    SingleFlight,
     build_report,
     content_hash,
     prediction_lines,
@@ -357,75 +357,122 @@ class TestConcurrentSessionReuse:
 
 
 # ----------------------------------------------------------------------
-# Micro-batching scheduler.
+# Single-flight scheduler.  Thunks block on a threading.Event, so a job
+# is certainly still running when the requests that should join it
+# arrive.
 
 
-class TestBatcher:
+def _run_flights(body):
+    """Run ``body(flights)`` on a fresh loop and two worker threads."""
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            return await asyncio.wait_for(
+                body(SingleFlight(loop, executor)), timeout=10
+            )
+
+    return asyncio.run(main())
+
+
+class TestSingleFlight:
     def test_coalesces_identical_keys(self):
-        calls: list[int] = []
+        calls: list[str] = []
+        release = threading.Event()
         before = counter_value("serve.batch.coalesced")
 
-        async def body():
-            loop = asyncio.get_running_loop()
-            with ThreadPoolExecutor(max_workers=2) as executor:
-                batcher = Batcher(
-                    loop, executor, batch_window_ms=20.0
-                )
+        def shared():
+            calls.append("shared")
+            release.wait(timeout=10)
+            return "shared"
 
-                def thunk():
-                    calls.append(1)
-                    return "shared"
+        def solo():
+            calls.append("solo")
+            return "solo"
 
-                waiters = [
-                    batcher.submit("key", thunk) for _ in range(5)
-                ]
-                other = batcher.submit("other", lambda: "solo")
-                return await asyncio.gather(*waiters, other)
+        async def body(flights):
+            waiters = []
+            for _ in range(5):
+                waiters.append(flights.submit("key", shared))
+                await asyncio.sleep(0)
+            # A different key runs on its own, next to the held job.
+            other = await flights.submit("other", solo)
+            release.set()
+            return await asyncio.gather(*waiters), other
 
-        results = asyncio.run(body())
-        assert results == ["shared"] * 5 + ["solo"]
-        assert len(calls) == 1
+        results, other = _run_flights(body)
+        assert results == ["shared"] * 5
+        assert other == "solo"
+        assert sorted(calls) == ["shared", "solo"]
         assert counter_value("serve.batch.coalesced") - before == 4
 
+    def test_settled_key_runs_again(self):
+        calls: list[int] = []
+
+        def thunk():
+            calls.append(1)
+            return len(calls)
+
+        async def body(flights):
+            first = await flights.submit("key", thunk)
+            second = await flights.submit("key", thunk)
+            return first, second
+
+        assert _run_flights(body) == (1, 2)
+
     def test_errors_propagate_to_every_waiter(self):
-        async def body():
-            loop = asyncio.get_running_loop()
-            with ThreadPoolExecutor(max_workers=1) as executor:
-                batcher = Batcher(loop, executor, batch_window_ms=1.0)
+        calls: list[int] = []
+        release = threading.Event()
 
-                def boom():
-                    raise RuntimeError("nope")
+        def boom():
+            calls.append(1)
+            release.wait(timeout=10)
+            raise RuntimeError("nope")
 
-                waiters = [
-                    batcher.submit("key", boom) for _ in range(3)
-                ]
-                return await asyncio.gather(
-                    *waiters, return_exceptions=True
-                )
+        async def body(flights):
+            waiters = []
+            for _ in range(3):
+                waiters.append(flights.submit("key", boom))
+                await asyncio.sleep(0)
+            release.set()
+            results = await asyncio.gather(
+                *waiters, return_exceptions=True
+            )
+            # The failed entry is gone: the next request computes.
+            retry = await flights.submit("key", lambda: "recovered")
+            return results, retry
 
-        results = asyncio.run(body())
+        results, retry = _run_flights(body)
+        assert len(calls) == 1
         assert len(results) == 3
         assert all(
             isinstance(result, RuntimeError) for result in results
         )
+        assert retry == "recovered"
 
-    def test_flushes_when_batch_fills(self):
-        async def body():
-            loop = asyncio.get_running_loop()
-            with ThreadPoolExecutor(max_workers=2) as executor:
-                batcher = Batcher(
-                    loop,
-                    executor,
-                    batch_window_ms=10_000.0,
-                    max_batch=2,
-                )
-                first = batcher.submit("a", lambda: 1)
-                second = batcher.submit("b", lambda: 2)
-                return await asyncio.wait_for(
-                    asyncio.gather(first, second), timeout=5.0
-                )
+    def test_cancelled_waiter_leaves_the_others_intact(self):
+        calls: list[int] = []
+        release = threading.Event()
 
-        assert asyncio.run(body()) == [1, 2]
+        def thunk():
+            calls.append(1)
+            release.wait(timeout=10)
+            return "shared"
+
+        async def body(flights):
+            first = flights.submit("key", thunk)
+            second = flights.submit("key", thunk)
+            # What wait_for does to a waiter whose timeout expires.
+            first.cancel()
+            await asyncio.sleep(0)
+            # The job keeps running and stays in flight, so a late
+            # identical request joins it instead of starting another.
+            late = flights.submit("key", thunk)
+            release.set()
+            return first.cancelled(), await second, await late
+
+        assert _run_flights(body) == (True, "shared", "shared")
+        assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------
@@ -886,7 +933,7 @@ class TestTracing:
         response = client.analyze(SOURCE, name="spans.c")
         record = _find_record(client, response.trace_id)
         names = _span_names(record["spans"])
-        # The asyncio hop (request -> batcher -> worker thread) keeps
+        # The asyncio hop (request -> scheduler -> worker thread) keeps
         # parentage: the whole pipeline hangs off serve.request.
         assert {"serve.request", "serve.batch", "serve.analyze"} <= names
         (request,) = record["spans"]
@@ -899,46 +946,33 @@ class TestTracing:
         )
         # Scheduling attributes are lifted onto the record.
         assert record["queue_wait_ms"] is not None
-        assert record["batch_size"] >= 1
         assert isinstance(record["pool_shard"], int)
         assert record["cache"] in {"hit", "miss"}
         assert record["name"] == "spans.c"
 
-    def test_batched_and_unbatched_span_names_match(self):
-        """Micro-batching changes scheduling, not the shape of the
-        trace: span names agree between a zero-window and a wide-
-        window server."""
-        names_by_window = {}
-        for window_ms in (0.0, 8.0):
-            running = start_in_thread(
-                ServeConfig(
-                    port=0, workers=2, batch_window_ms=window_ms
-                )
-            )
-            try:
-                client = ServeClient(running.host, running.port)
-                client.wait_ready()
-                response = client.analyze(SOURCE, name="window.c")
-                assert response.status == 200
-                record = _find_record(client, response.trace_id)
-                names_by_window[window_ms] = _span_names(
-                    record["spans"]
-                )
-            finally:
-                running.shutdown()
-        assert names_by_window[0.0] == names_by_window[8.0]
-
     def test_coalesced_requests_link_to_shared_job(self):
-        """Identical requests inside one window: one owner runs the
-        computation, the rest carry span links to the owner's trace
-        and the shared job id."""
-        running = start_in_thread(
-            ServeConfig(port=0, workers=2, batch_window_ms=50.0)
-        )
+        """Identical requests while one is in flight: one owner runs
+        the computation, the rest carry span links to the owner's
+        trace and the shared job id."""
+        running = start_in_thread(ServeConfig(port=0, workers=2))
         try:
             client = ServeClient(running.host, running.port)
             client.wait_ready()
             client.analyze(SOURCE, name="warm.c")  # warm the pool
+            analyze = running.app._analyze
+
+            def held_analyze(request):
+                # Hold the owner's computation until all four requests
+                # are admitted, so the other three must join it.
+                deadline = time.monotonic() + 10.0
+                while (
+                    running.app.inflight < 4
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.001)
+                return analyze(request)
+
+            running.app._analyze = held_analyze
             results: list[str] = []
             lock = threading.Lock()
 
@@ -964,7 +998,7 @@ class TestTracing:
             ]
             coalesced = [r for r in records if r.get("coalesced")]
             owners = [r for r in records if not r.get("coalesced")]
-            assert coalesced, "no request coalesced inside a 50ms window"
+            assert coalesced, "no request coalesced onto the held job"
             by_trace = {r["trace_id"]: r for r in owners}
             for record in coalesced:
                 assert record["link_trace"] in by_trace
@@ -1042,9 +1076,18 @@ class TestTracing:
         assert "text/plain" in collapsed.headers["content-type"]
 
     def test_debug_profile_rejects_bad_params(self, client):
-        response = client._request(
-            "GET", "/debug/profile?seconds=abc"
-        )
+        for query in (
+            "seconds=abc",
+            "seconds=nan",
+            "seconds=inf",
+            "interval_ms=nan",
+            "interval_ms=-inf",
+        ):
+            response = client._request("GET", f"/debug/profile?{query}")
+            assert response.status == 400, query
+
+    def test_debug_traces_rejects_negative_limit(self, client):
+        response = client._request("GET", "/debug/traces?limit=-3")
         assert response.status == 400
 
     def test_error_responses_carry_trace_id(self, client):
