@@ -362,7 +362,8 @@ class TestPipelineRecording:
         detail = ledger.run_detail(runs[0])
         assert "table2" in detail.scores
         assert detail.scores["table2"]  # accuracy numbers present
-        assert "experiment:table2" in detail.stages
+        assert set(detail.stages) == {"experiment:table2"}
+        assert detail.stages["experiment:table2"] > 0
         assert detail.counters  # metric deltas captured
 
     def test_run_all_jobs_parity(self, ledger_dir):
@@ -408,7 +409,25 @@ class TestPipelineRecording:
         detail = ledger.run_detail(runs[0])
         assert detail.scores["fuzz"]["cases"] == 2.0
         assert detail.scores["fuzz"]["failures"] == 0.0
-        assert "fuzz.run" in detail.stages
+        assert set(detail.stages) == {"fuzz.run"}
+        assert detail.stages["fuzz.run"] > 0
+
+    def test_explain_records_total_stage(self, ledger_dir):
+        assert main(["explain", "compress", "--record", "--quiet"]) == 0
+        (run,) = ledger.list_runs()
+        assert run.kind == "explain"
+        stages = ledger.run_detail(run).stages
+        assert set(stages) == {"explain.total"}
+        assert stages["explain.total"] > 0
+
+    def test_profile_suite_records_collect_stage(self, ledger_dir, capsys):
+        assert main(["profile-suite", "compress", "--record"]) == 0
+        capsys.readouterr()
+        (run,) = ledger.list_runs()
+        assert run.kind == "suite"
+        stages = ledger.run_detail(run).stages
+        assert set(stages) == {"suite.collect"}
+        assert stages["suite.collect"] > 0
 
 
 # ----------------------------------------------------------------------
