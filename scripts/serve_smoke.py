@@ -8,12 +8,13 @@ session pool (``server.cache == "hit"``, and ``serve.pool.hits`` grows
 by at least the number of warm repeats) and the warm median latency
 must stay below the cold one.  It then fires a 64-way concurrent burst
 mixing repeat sources, novel sources, and one malformed source (the
-structured-400 path), and checks ``/metrics`` for session-pool hits
-and per-tenant counters.  Hostile sources (nesting and
-macro-expansion bombs, non-ASCII identifiers and digits) must each get
-a structured 400 with no internal error counted.  It then exercises
-the observability surface: a W3C ``traceparent`` round-trip,
-flight-recorder retention of injected errors
+structured-400 path), and checks ``/metrics``: every repeat request
+after the first for its source must be a pool hit or join an
+in-flight job, and per-tenant counters must show.  Hostile sources
+(nesting and macro-expansion bombs, non-ASCII identifiers and digits)
+must each get a structured 400 with no internal error counted.  It
+then exercises the observability surface: a W3C ``traceparent``
+round-trip, flight-recorder retention of injected errors
 (``/debug/traces?kind=errors``), span trees on ``/debug/slow``, and an
 on-demand flamegraph from ``/debug/profile``.  Finally it fires
 a second wave and SIGTERMs the server while that wave is in flight:
@@ -171,8 +172,12 @@ def main() -> int:
                     if response.status == 200
                     else response.status
                 )
+        metrics = probe.metrics()
         hits_after_pool = _metric_value(
-            probe.metrics(), "repro_serve_pool_hits_total"
+            metrics, "repro_serve_pool_hits_total"
+        )
+        coalesced_after_pool = _metric_value(
+            metrics, "repro_serve_batch_coalesced_total"
         )
         pool_hits = hits_after_pool - hits_before
         check(
@@ -258,13 +263,26 @@ def main() -> int:
         )
 
         # ------------------------------------------------------------
-        # Metrics: pool hits and per-tenant counters must be visible.
+        # Metrics: every repeat request after the first for its source
+        # either joins that source's in-flight job or hits the pool.
         metrics = probe.metrics()
         hits = (
             _metric_value(metrics, "repro_serve_pool_hits_total")
             - hits_after_pool
         )
-        check(hits > 0, f"session pool served repeats ({hits:.0f} hits)")
+        coalesced = (
+            _metric_value(metrics, "repro_serve_batch_coalesced_total")
+            - coalesced_after_pool
+        )
+        # Even rounds send repeat sources; worker 0's first sends the
+        # malformed source instead.
+        repeat_requests = CONCURRENCY * ((ROUNDS + 1) // 2) - 1
+        check(
+            hits + coalesced == repeat_requests - REPEATS,
+            f"session pool served repeats ({hits:.0f} hits + "
+            f"{coalesced:.0f} coalesced = "
+            f"{repeat_requests - REPEATS} expected)",
+        )
         for tenant in ("smoke0", "smoke1"):
             needle = f'tenant="{tenant}"'
             check(

@@ -24,11 +24,8 @@ from repro.analysis.session import (
     MemoizedPredictor,
     SessionStats,
     clear_sessions,
-    record_stage,
     session_for_source,
     session_for_suite,
-    stage_snapshot,
-    stage_totals_since,
 )
 
 __all__ = [
@@ -39,10 +36,7 @@ __all__ = [
     "analysis_cache_key",
     "clear_sessions",
     "load_cached_analysis",
-    "record_stage",
     "session_for_source",
     "session_for_suite",
-    "stage_snapshot",
-    "stage_totals_since",
     "store_analysis",
 ]

@@ -24,23 +24,22 @@ invocations are persisted keyed by a content hash of the source, so a
 second process (a parallel experiment worker, the next CLI run) loads
 them instead of re-solving.
 
-Every computation records its wall time into a module-level stage
-accumulator (``parse``, ``intra:<estimator>``, ``inter:<backend>``,
-``transitions``, ``callsites``), surfaced by ``repro run all
---timings`` and the analysis benchmarks.
+Every computation runs inside a span (``analysis.parse``,
+``analysis.intra``, ``analysis.inter``, ``analysis.transitions``,
+``analysis.callsites``); ``repro run all --timings`` and the run
+ledger read their stage times off those spans.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro import store
 from repro.analysis import cache as analysis_cache
 from repro.cfg.block import BasicBlock, CondBranch, SwitchBranch
-from repro.obs import histogram_sums, incr, observe, span
+from repro.obs import incr, span
 from repro.estimators.base import (
     IntraEstimator,
     local_call_site_frequency,
@@ -56,35 +55,6 @@ from repro.prediction.error_functions import settings_for_program
 from repro.prediction.heuristics import BranchPrediction
 from repro.prediction.predictor import BranchPredictor, HeuristicPredictor
 from repro.program import Program
-
-# ----------------------------------------------------------------------
-# Stage timing: each timed run lands in an ``analysis.stage.<stage>``
-# histogram in the process-global metrics registry (:mod:`repro.obs`).
-# Parallel experiment workers ship their metric deltas back to the
-# parent, which merges them, so the ``--timings`` stage table and
-# ``repro stats`` cover every process of a run.
-
-_STAGE_PREFIX = "analysis.stage."
-
-
-def record_stage(stage: str, seconds: float) -> None:
-    """Add one timed run of ``stage`` to the process-global totals."""
-    observe(_STAGE_PREFIX + stage, seconds)
-
-
-def stage_snapshot() -> dict[str, float]:
-    """Current per-stage totals (seconds), for later deltas."""
-    return histogram_sums(_STAGE_PREFIX)
-
-
-def stage_totals_since(before: dict[str, float]) -> dict[str, float]:
-    """Per-stage seconds accumulated since ``before`` was snapshot."""
-    return {
-        stage: total - before.get(stage, 0.0)
-        for stage, total in histogram_sums(_STAGE_PREFIX).items()
-        if total - before.get(stage, 0.0) > 0.0
-    }
-
 
 # ----------------------------------------------------------------------
 # Predictor memoization.
@@ -190,12 +160,8 @@ class AnalysisSession:
                     program=self.program.name,
                     function=function_name,
                 ):
-                    clock = time.perf_counter()
                     cached = transition_probabilities(
                         self.program.cfg(function_name), self.predictor()
-                    )
-                    record_stage(
-                        "transitions", time.perf_counter() - clock
                     )
                 self._transitions[function_name] = cached
             else:
@@ -227,12 +193,7 @@ class AnalysisSession:
                         program=self.program.name,
                         estimator=estimator,
                     ):
-                        clock = time.perf_counter()
                         cached = self._compute_intra(estimator)
-                        record_stage(
-                            f"intra:{estimator}",
-                            time.perf_counter() - clock,
-                        )
                     self._store_to_disk(
                         "intra", estimator, analysis_cache.encode_intra(cached)
                     )
@@ -322,7 +283,6 @@ class AnalysisSession:
                         backend=backend,
                         estimator=estimator,
                     ):
-                        clock = time.perf_counter()
                         if backend == "markov":
                             cached = invocations_from_estimates(
                                 self.program, estimates
@@ -337,10 +297,6 @@ class AnalysisSession:
                                 f"{backend!r}; choices: "
                                 f"{['markov', *sorted(SIMPLE_INTER_ESTIMATORS)]}"
                             )
-                        record_stage(
-                            f"inter:{backend}",
-                            time.perf_counter() - clock,
-                        )
                     if persisted:
                         self._store_to_disk(
                             "inter",
@@ -375,7 +331,6 @@ class AnalysisSession:
                     backend=backend,
                     estimator=estimator,
                 ):
-                    clock = time.perf_counter()
                     cached = {}
                     for site in self.program.call_sites():
                         if site.callee is None:
@@ -386,9 +341,6 @@ class AnalysisSession:
                         cached[site.site_id] = local * invocations.get(
                             site.caller, 0.0
                         )
-                    record_stage(
-                        "callsites", time.perf_counter() - clock
-                    )
                 self._call_sites[key] = cached
             else:
                 self.stats.hits += 1
@@ -411,9 +363,7 @@ def session_for_source(source: str, name: str) -> AnalysisSession:
     session = _SOURCE_SESSIONS.get(key)
     if session is None:
         with span("analysis.parse", program=name):
-            clock = time.perf_counter()
             program = Program.from_source(source, name)
-            record_stage("parse", time.perf_counter() - clock)
         session = AnalysisSession.of(program)
         _SOURCE_SESSIONS[key] = session
     return session
@@ -428,9 +378,7 @@ def session_for_suite(name: str) -> AnalysisSession:
     if already_loaded:
         return AnalysisSession.of(registry.load_program(name))
     with span("analysis.parse", program=name):
-        clock = time.perf_counter()
         program = registry.load_program(name)
-        record_stage("parse", time.perf_counter() - clock)
     return AnalysisSession.of(program)
 
 

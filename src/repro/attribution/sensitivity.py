@@ -164,17 +164,3 @@ def _attribute_one(
     flow.sort(key=lambda item: (-abs(item[1]), item[0]))
     record.local_error = sum(abs(value) for _, value in flow)
     record.error_flow = flow[:ERROR_FLOW_TOP]
-
-
-def function_error_vector(
-    cfg: ControlFlowGraph,
-    estimates: dict[int, float],
-    actuals: dict[int, float],
-) -> dict[int, float]:
-    """Signed per-block frequency error (estimate minus profile), both
-    normalized to one function entry — the quantity the heatmap shades
-    and the sensitivity pass explains."""
-    return {
-        block_id: estimates.get(block_id, 0.0) - actuals.get(block_id, 0.0)
-        for block_id in sorted(cfg.blocks)
-    }

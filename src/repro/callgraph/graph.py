@@ -43,12 +43,6 @@ class CallSite:
         """Stable identifier: the Call node's id."""
         return self.call.node_id
 
-    def describe(self) -> str:
-        target = self.callee or ("<builtin>" if self.is_builtin else "<indirect>")
-        return (
-            f"{self.caller} -> {target} at {self.call.location}"
-        )
-
 
 @dataclass
 class CallGraph:
@@ -103,6 +97,3 @@ class CallGraph:
             site.is_indirect for sites in self.sites_by_caller.values()
             for site in sites
         )
-
-    def total_address_of(self) -> int:
-        return sum(self.address_taken.values())

@@ -91,14 +91,3 @@ def dominates(
         if parent is None or parent == current:
             return current == dominator
         current = parent
-
-
-def dominator_tree_children(idom: dict[int, int]) -> dict[int, list[int]]:
-    """Invert the idom map into dominator-tree child lists."""
-    children: dict[int, list[int]] = {block_id: [] for block_id in idom}
-    for block_id, parent in idom.items():
-        if block_id != parent:
-            children[parent].append(block_id)
-    for child_list in children.values():
-        child_list.sort()
-    return children

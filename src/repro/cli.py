@@ -23,7 +23,6 @@ Usage (after installing the package)::
     python -m repro trace                   # render the recorded trace
     python -m repro stats --format prom     # metrics from the last run
     python -m repro profile -- run all      # flamegraph of a command
-    python -m repro run all --profile       # same, as a rider flag
     python -m repro serve --port 8787       # HTTP analysis daemon
     python -m repro serve --access-log logs/  # + JSON access log
     python -m repro traces --slow           # daemon flight recorder
@@ -51,8 +50,7 @@ record a span trace and write it as JSONL (``REPRO_TRACE_FILE``,
 default ``repro-trace.jsonl``); metrics are always on and persisted at
 the end of each command for ``repro stats``; ``--quiet``/``REPRO_QUIET``
 silence diagnostic stderr chatter without touching stdout.  ``repro
-profile -- <command>`` (or ``--profile`` on ``run``/``serve``/
-``profile-suite``) samples the process with the zero-dependency
+profile -- <command>`` samples the process with the zero-dependency
 wall-clock profiler (:mod:`repro.obs.profiler`) and writes a
 flamegraph SVG plus collapsed stacks (``REPRO_PROFILE_FILE``, default
 ``repro-profile.svg``).
@@ -71,7 +69,6 @@ import datetime
 import json
 import os
 import sys
-import time
 
 from repro import obs, store
 from repro.analysis import cache as analysis_cache
@@ -475,40 +472,42 @@ def _command_explain(args: argparse.Namespace) -> int:
     _apply_backend(args)
     started_at = ledger.now_iso()
     metrics_before = metrics_snapshot()
-    clock = time.perf_counter()
-    try:
-        names = _resolve_explain_targets(args.targets)
-    except ValueError as error:
-        _error(f"repro: {error}")
-        return 2
-    try:
-        explanations = explain_programs(
-            names,
-            estimator=args.estimator,
-            jobs=_resolve_jobs_or_fail(args.jobs),
-            use_cache=False if args.no_cache else None,
-        )
-    except KeyError as error:
-        _error(f"repro: {error.args[0]}")
-        return 2
-
-    if args.dot:
-        written: list[str] = []
-        for explanation in explanations:
-            written.extend(
-                write_heatmaps(
-                    explanation, args.dot, function=args.function
-                )
+    # The recorded explain.total stage is this span's duration.
+    with obs.forced_tracing(args.record), obs.span("explain") as root:
+        try:
+            names = _resolve_explain_targets(args.targets)
+        except ValueError as error:
+            _error(f"repro: {error}")
+            return 2
+        try:
+            explanations = explain_programs(
+                names,
+                estimator=args.estimator,
+                jobs=_resolve_jobs_or_fail(args.jobs),
+                use_cache=False if args.no_cache else None,
             )
-        obs.diag(
-            f"repro: wrote {len(written)} heatmap DOT files to {args.dot}"
-        )
-    if args.export_features:
-        rows = export_features(explanations, args.export_features)
-        obs.diag(
-            f"repro: exported {rows} branch feature rows "
-            f"to {args.export_features}"
-        )
+        except KeyError as error:
+            _error(f"repro: {error.args[0]}")
+            return 2
+
+        if args.dot:
+            written: list[str] = []
+            for explanation in explanations:
+                written.extend(
+                    write_heatmaps(
+                        explanation, args.dot, function=args.function
+                    )
+                )
+            obs.diag(
+                f"repro: wrote {len(written)} heatmap DOT files "
+                f"to {args.dot}"
+            )
+        if args.export_features:
+            rows = export_features(explanations, args.export_features)
+            obs.diag(
+                f"repro: exported {rows} branch feature rows "
+                f"to {args.export_features}"
+            )
     if args.record:
         scores: dict[str, float] = {}
         for explanation in explanations:
@@ -523,7 +522,7 @@ def _command_explain(args: argparse.Namespace) -> int:
             started_at=started_at,
             jobs=_resolve_jobs_or_fail(args.jobs),
             scores={"attribution": scores},
-            stages={"explain.total": time.perf_counter() - clock},
+            stages={"explain.total": root.seconds},
             counters=ledger.counter_values(
                 metrics_delta(metrics_before)
             ),
@@ -915,18 +914,6 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_profile_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "sample this command with the wall-clock profiler and "
-            "write a flamegraph SVG on exit (REPRO_PROFILE_FILE, "
-            "default repro-profile.svg)"
-        ),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse CLI parser (exposed for tests and docs)."""
     from repro import __version__
@@ -983,7 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress diagnostic stderr output (stdout is unchanged)",
     )
-    _add_profile_argument(run_parser)
     _add_backend_argument(run_parser)
     run_parser.set_defaults(handler=_command_run)
 
@@ -1074,7 +1060,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress diagnostic stderr output (stdout is unchanged)",
     )
-    _add_profile_argument(serve_parser)
     serve_parser.set_defaults(handler=_command_serve)
 
     layout_parser = subparsers.add_parser(
@@ -1228,7 +1213,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(REPRO_TRACE_FILE, default repro-trace.jsonl)"
         ),
     )
-    _add_profile_argument(profile_parser)
     _add_backend_argument(profile_parser)
     profile_parser.set_defaults(handler=_command_profile_suite)
 
@@ -1582,12 +1566,6 @@ def main(argv: list[str] | None = None) -> int:
         obs.set_quiet(True)
     if getattr(args, "trace", False) is True:
         obs.enable_tracing()
-    profiler = None
-    if getattr(args, "profile", False) is True:
-        from repro.obs.profiler import SamplingProfiler
-
-        profiler = SamplingProfiler()
-        profiler.start()
     try:
         status = args.handler(args)
         _finish_observability()
@@ -1600,19 +1578,6 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     finally:
-        if profiler is not None:
-            profiler.stop()
-            from repro.obs.profiler import write_profile
-
-            svg_path, collapsed_path = write_profile(
-                profiler,
-                title=f"repro {getattr(args, 'command', '')}".strip(),
-            )
-            obs.diag(
-                f"profile: {profiler.total_samples} samples over "
-                f"{profiler.wall_seconds:.2f}s -> {svg_path} "
-                f"(+ {collapsed_path})"
-            )
         # Restore process-global flags so in-process callers (tests,
         # embedding) see main() as reentrant.  --backend publishes
         # through the environment (worker processes inherit it), so it

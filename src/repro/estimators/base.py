@@ -10,7 +10,7 @@ function is called" (paper §5.2).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.callgraph.graph import CallSite
 from repro.estimators.intra.astwalk import loop_estimator, smart_estimator
@@ -97,17 +97,3 @@ def make_profile_intra_estimator(profile) -> IntraEstimator:
         return profile_block_estimates(program, profile)[function_name]
 
     return estimator
-
-
-def normalize_to_entry(
-    frequencies: dict[int, float], entry_id: int
-) -> dict[int, float]:
-    """Scale so the entry block has frequency 1 (no-op when it already
-    does, or when it is zero)."""
-    entry_value = frequencies.get(entry_id, 0.0)
-    if entry_value in (0.0, 1.0):
-        return dict(frequencies)
-    return {
-        block_id: value / entry_value
-        for block_id, value in frequencies.items()
-    }

@@ -72,10 +72,3 @@ def actual_call_site_frequencies(
         site.site_id: profile.call_site_count(site.site_id)
         for site in rankable_call_sites(program)
     }
-
-
-def profile_call_site_estimator(
-    program: Program, profile: Profile
-) -> dict[int, float]:
-    """A profile used as the call-site estimate (the baseline)."""
-    return actual_call_site_frequencies(program, profile)

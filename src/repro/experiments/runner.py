@@ -16,7 +16,7 @@ Each experiment runs inside an ``experiment:<name>`` span under one
 ``run_all`` root; worker spans are re-parented under the same root in
 registry order, so serial and parallel runs produce the same span-name
 set.  The ``--timings`` report (:class:`RunAllTimings`) is a view over
-that span tree plus the merged ``analysis.stage.*`` metrics.
+that span tree, analysis stages included.
 
 With ``record=True`` (the CLI default), a finished run is appended to
 the persistent run ledger (:mod:`repro.obs.ledger`): every experiment's
@@ -30,7 +30,6 @@ trace coherent.
 
 from __future__ import annotations
 
-import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -42,6 +41,7 @@ from repro.obs import (
     forced_tracing,
     span,
     tracing_enabled,
+    walk_spans,
 )
 from repro.suite.pipeline import SuiteTimings, resolve_jobs
 
@@ -125,9 +125,11 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 
 
-def _run_scored(name: str) -> tuple[str, dict[str, float]]:
-    """Run one experiment; return its rendered text and its flattened
-    numeric results (the ledger's score rows for this experiment)."""
+def _run_scored(name: str) -> tuple[str, dict[str, float], object]:
+    """Run one experiment; return its rendered text, its flattened
+    numeric results (the ledger's score rows for this experiment), and
+    its finished ``experiment:<name>`` span (a no-op stand-in while
+    tracing is off)."""
     from repro.obs.ledger import flatten_scalars
 
     try:
@@ -136,7 +138,7 @@ def _run_scored(name: str) -> tuple[str, dict[str, float]]:
         raise KeyError(
             f"unknown experiment {name!r}; choices: {sorted(EXPERIMENTS)}"
         ) from None
-    with span(f"experiment:{name}"):
+    with span(f"experiment:{name}") as experiment_span:
         result = experiment.run()
     rendered = result.render()  # type: ignore[attr-defined]
     scores = flatten_scalars(result)
@@ -148,7 +150,7 @@ def _run_scored(name: str) -> tuple[str, dict[str, float]]:
             "render/chars": float(len(rendered)),
             "render/crc32": float(zlib.crc32(rendered.encode("utf-8"))),
         }
-    return rendered, scores
+    return rendered, scores, experiment_span
 
 
 def run_experiment(name: str) -> str:
@@ -168,9 +170,9 @@ def run_one(
 ) -> str:
     """Run one experiment, optionally appending it to the run ledger.
 
-    The ledger row carries the experiment's accuracy numbers, its wall
-    time as an ``experiment:<name>`` stage, and the metric deltas the
-    run produced.
+    The ledger row carries the experiment's accuracy numbers, the
+    duration of its ``experiment:<name>`` span as that stage, and the
+    metric deltas the run produced.
     """
     from repro.obs import ledger
     from repro.obs.metrics import metrics_delta, metrics_snapshot
@@ -178,16 +180,15 @@ def run_one(
     if not (record and ledger.ledger_enabled()):
         return run_experiment(name)
     metrics_before = metrics_snapshot()
-    clock = time.perf_counter()
-    rendered, metrics = _run_scored(name)
-    seconds = time.perf_counter() - clock
+    with forced_tracing():
+        rendered, metrics, experiment_span = _run_scored(name)
     ledger.record_run(
         "run",
         label=name,
         started_at=started_at,
         jobs=1,
         scores={name: metrics},
-        stages={f"experiment:{name}": seconds},
+        stages={f"experiment:{name}": experiment_span.seconds},
         counters=ledger.counter_values(metrics_delta(metrics_before)),
     )
     return rendered
@@ -207,15 +208,32 @@ def prefetch_profiles(
     collect_suite_profiles(jobs=jobs, timings=timings)
 
 
+def _analysis_stage(node) -> Optional[str]:
+    """The ``--timings`` stage an ``analysis.*`` span times: ``parse``,
+    ``transitions``, ``callsites``, ``intra:<estimator>`` or
+    ``inter:<backend>`` (None for any other span)."""
+    if node.name == "analysis.intra":
+        return f"intra:{node.attrs['estimator']}"
+    if node.name == "analysis.inter":
+        return f"inter:{node.attrs['backend']}"
+    if node.name in (
+        "analysis.parse", "analysis.transitions", "analysis.callsites"
+    ):
+        return node.name[len("analysis."):]
+    return None
+
+
 @dataclass
 class RunAllTimings:
     """Instrumentation for one ``run_all`` (``repro run all --timings``).
 
     A view over the run's trace: the profiling pipeline report comes
     from the ``suite.collect`` span tree, per-experiment wall times from
-    the ``experiment:<name>`` spans (measured in whichever process ran
-    them), and the analysis stage totals from the ``analysis.stage.*``
-    metrics merged across every worker.
+    the ``experiment:<name>`` spans, and the analysis stage totals from
+    the ``analysis.*`` spans, each measured in whichever process ran it
+    (worker spans are adopted under the ``run_all`` root).  Nested
+    stages count in both: ``intra:markov`` includes the
+    ``transitions`` it computes.
     """
 
     jobs: int = 1
@@ -232,7 +250,6 @@ class RunAllTimings:
         profiling: SuiteTimings,
         names: Sequence[str],
         jobs: int,
-        stage_seconds: dict[str, float],
     ) -> None:
         """Fill the report from a finished ``run_all`` span."""
         by_name: dict[str, float] = {}
@@ -242,12 +259,17 @@ class RunAllTimings:
                 by_name[experiment] = (
                     by_name.get(experiment, 0.0) + child.seconds
                 )
+        stages: dict[str, float] = {}
+        for node, _ in walk_spans([root]):
+            stage = _analysis_stage(node)
+            if stage is not None:
+                stages[stage] = stages.get(stage, 0.0) + node.seconds
         self.jobs = jobs
         self.profiling = profiling
         self.experiment_seconds = {
             name: by_name.get(name, 0.0) for name in names
         }
-        self.stage_seconds = stage_seconds
+        self.stage_seconds = dict(sorted(stages.items()))
         self.total_seconds = root.seconds
 
     def render(self) -> str:
@@ -279,13 +301,13 @@ def _experiment_worker(
 
     Returns the rendered section, the experiment's flattened scores
     (for the run ledger), and the observability snapshot (the
-    experiment's span tree and metric deltas — cache traffic, analysis
-    stage times) for the parent to merge.
+    experiment's span tree, analysis stages included, and its metric
+    deltas) for the parent to merge.
     """
     name, trace = task
     capture = WorkerCapture(trace)
     with capture:
-        rendered, metrics = _run_scored(name)
+        rendered, metrics, _ = _run_scored(name)
     return name, rendered, metrics, capture.snapshot
 
 
@@ -321,7 +343,6 @@ def run_all(
     Workers return their flattened scores with their rendered sections,
     so jobs=1 and jobs=N produce the same score rows.
     """
-    from repro.analysis.session import stage_snapshot, stage_totals_since
     from repro.obs import ledger
     from repro.obs.metrics import metrics_delta, metrics_snapshot
 
@@ -338,7 +359,6 @@ def run_all(
     metrics_before = metrics_snapshot() if recording else {}
 
     with forced_tracing(report is not None):
-        stages_before = stage_snapshot()
         with span("run_all", jobs=jobs) as root:
             profiling = SuiteTimings()
             prefetch_profiles(
@@ -356,15 +376,9 @@ def run_all(
                         absorb(snapshot)
             else:
                 for name in names:
-                    rendered[name], scores[name] = _run_scored(name)
+                    rendered[name], scores[name], _ = _run_scored(name)
         if report is not None:
-            report.populate_from_span(
-                root,
-                profiling,
-                names,
-                jobs,
-                stage_totals_since(stages_before),
-            )
+            report.populate_from_span(root, profiling, names, jobs)
     if recording:
         ledger.record_run(
             "run-all",

@@ -18,6 +18,7 @@ from repro.frontend.errors import (
 from repro.frontend.lexer import tokenize
 from repro.frontend.parser import parse
 from repro.frontend.preprocessor import Preprocessor, preprocess
+from repro.obs import span
 
 __all__ = [
     "FrontendError",
@@ -42,11 +43,13 @@ def compile_source(
     predefined: dict[str, str] | None = None,
 ) -> TranslationUnit:
     """Preprocess and parse C source text in one step."""
-    preprocessed = preprocess(
-        text,
-        filename,
-        include_dirs=include_dirs,
-        virtual_headers=virtual_headers,
-        predefined=predefined,
-    )
-    return parse(preprocessed, filename)
+    with span("frontend.preprocess"):
+        preprocessed = preprocess(
+            text,
+            filename,
+            include_dirs=include_dirs,
+            virtual_headers=virtual_headers,
+            predefined=predefined,
+        )
+    with span("frontend.parse"):
+        return parse(preprocessed, filename)

@@ -243,13 +243,6 @@ def decay(ctype: CType) -> CType:
     return ctype
 
 
-def is_void_pointer(ctype: CType) -> bool:
-    """True for ``void*`` (any pointer whose pointee is void)."""
-    return isinstance(ctype, PointerType) and isinstance(
-        ctype.pointee, VoidType
-    )
-
-
 def is_null_pointer_comparison(left: CType, right: CType) -> bool:
     """True when comparing a pointer against an integer (NULL idiom)."""
     return (left.is_pointerish and right.is_integer) or (

@@ -95,10 +95,3 @@ class LexError(FrontendError):
 
 class ParseError(FrontendError):
     """Raised when the token stream does not match the C grammar."""
-
-
-class TypeError_(FrontendError):
-    """Raised for semantic type violations detected by the frontend.
-
-    Named with a trailing underscore to avoid shadowing the builtin.
-    """

@@ -25,6 +25,7 @@ from repro.frontend.builtins_list import BUILTIN_FUNCTIONS
 from repro.frontend.errors import ParseError, SourceLocation
 from repro.frontend.lexer import tokenize
 from repro.frontend.tokens import BINARY_PRECEDENCE, Token, TokenKind
+from repro.obs import span
 
 _K = TokenKind
 
@@ -149,7 +150,8 @@ class Parser:
         filename: str = "<input>",
         builtin_functions: Optional[dict[str, ct.FunctionType]] = None,
     ):
-        self._tokens = tokenize(text, filename)
+        with span("frontend.lex"):
+            self._tokens = tokenize(text, filename)
         # A second EOF: the parser looks at most one token ahead and
         # never advances past the first EOF, so no lookup needs a bound.
         self._tokens.append(self._tokens[-1])

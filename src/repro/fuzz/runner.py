@@ -36,6 +36,7 @@ from repro.fuzz.oracles import check_program
 from repro.obs import (
     WorkerCapture,
     absorb,
+    forced_tracing,
     incr,
     span,
     tracing_enabled,
@@ -197,11 +198,10 @@ def fuzz_run(
 
     With ``record=True`` (and the ledger enabled) the run is appended
     to the persistent run ledger: case/failure totals as score rows,
-    the run's wall time as a ``fuzz.run`` stage, and the metric deltas
-    it produced (oracle violations, corpus saves, interpreter totals).
+    the duration of its ``fuzz.run`` span as that stage, and the metric
+    deltas it produced (oracle violations, corpus saves, interpreter
+    totals).
     """
-    import time
-
     from repro.obs import ledger
     from repro.obs.metrics import metrics_delta, metrics_snapshot
 
@@ -213,11 +213,10 @@ def fuzz_run(
     backend = resolve_backend(backend)
     recording = record and ledger.ledger_enabled()
     metrics_before = metrics_snapshot() if recording else {}
-    clock = time.perf_counter()
     report = FuzzRunReport(base_seed=seed, count=count, jobs=jobs)
-    with span(
+    with forced_tracing(recording), span(
         "fuzz.run", seed=seed, count=count, jobs=jobs, backend=backend
-    ):
+    ) as run_span:
         if jobs > 1 and count > 1:
             tasks = [
                 (seed, index, fuel, tracing_enabled(), backend)
@@ -254,7 +253,7 @@ def fuzz_run(
                     "failures": float(len(report.failures)),
                 }
             },
-            stages={"fuzz.run": time.perf_counter() - clock},
+            stages={"fuzz.run": run_span.seconds},
             counters=ledger.counter_values(
                 metrics_delta(metrics_before)
             ),

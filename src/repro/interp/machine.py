@@ -386,10 +386,6 @@ class Machine:
             return global_entry
         raise InterpreterError(f"undefined variable {name!r}", location)
 
-    @property
-    def current_function(self) -> str:
-        return self._frames[-1].function_name if self._frames else "<init>"
-
     # ------------------------------------------------------------------
     # Calls.
 

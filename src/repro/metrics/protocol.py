@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.estimators.base import profile_block_estimates
 from repro.estimators.callsites import (
@@ -187,13 +187,3 @@ def call_site_profiling_baseline(
         )
     return average_scores(scores)
 
-
-# ----------------------------------------------------------------------
-# Generic helper for estimator sweeps.
-
-
-def score_estimators(
-    evaluators: Mapping[str, Callable[[], float]],
-) -> dict[str, float]:
-    """Run a mapping of named thunks, returning name -> score."""
-    return {name: thunk() for name, thunk in evaluators.items()}

@@ -7,7 +7,7 @@ Four pieces, threaded through every layer of the system:
   overhead when disabled.
 * :mod:`repro.obs.metrics` — an always-on registry of counters, gauges,
   and histograms (cache hits/misses/bytes, interpreter run totals,
-  solver dispatch decisions, analysis stage times).
+  solver dispatch decisions, request latencies).
 * :mod:`repro.obs.aggregate` — worker tasks capture their spans and
   metric deltas and ship them to the parent, which merges them in
   deterministic task order, so ``--jobs N`` yields one coherent trace.
@@ -46,7 +46,6 @@ from repro.obs.metrics import (
     counter_value,
     gauge,
     histogram,
-    histogram_sums,
     incr,
     merge_metrics,
     metrics_delta,
@@ -128,7 +127,6 @@ __all__ = [
     "format_traceparent",
     "gauge",
     "histogram",
-    "histogram_sums",
     "incr",
     "new_span_id",
     "new_trace_id",

@@ -202,18 +202,6 @@ def counter_value(name: str) -> Number:
     return metric.value if isinstance(metric, Counter) else 0
 
 
-def histogram_sums(prefix: str) -> dict[str, float]:
-    """``{name without prefix: sum}`` for histograms under ``prefix``,
-    in name order regardless of registration order (worker merges
-    register metrics in whatever order the deltas arrive)."""
-    return {
-        name[len(prefix):]: _REGISTRY[name].total  # type: ignore[union-attr]
-        for name in sorted(_REGISTRY)
-        if isinstance(_REGISTRY[name], Histogram)
-        and name.startswith(prefix)
-    }
-
-
 #: Registry names of the collector metrics, indexed by generation.
 _GC_METRICS = [
     (

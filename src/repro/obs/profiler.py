@@ -25,9 +25,8 @@ parked in the interpreter's own wait machinery (``threading``,
 dropped — a wall-clock profile of a mostly idle daemon would
 otherwise be 99% scheduler noise; ``include_idle=True`` keeps them.
 
-Wired as ``repro profile -- <subcommand>``, ``--profile`` on
-``run``/``profile-suite``/``serve``, and ``GET /debug/profile`` on
-the daemon.
+Wired as ``repro profile -- <subcommand>`` and ``GET /debug/profile``
+on the daemon.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ against.  The interpreter records:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -70,9 +70,6 @@ class Profile:
 
     # ------------------------------------------------------------------
     # Recording interface (used by the interpreter).
-
-    def record_function_entry(self, function: str) -> None:
-        self.function_entries[function] += 1
 
     def record_block(self, function: str, block_id: int) -> None:
         self.block_counts[function][block_id] += 1

@@ -14,6 +14,7 @@ from repro.callgraph import CallGraph, CallSite, build_call_graph
 from repro.cfg import ControlFlowGraph, build_all_cfgs
 from repro.frontend import compile_source
 from repro.frontend.ast_nodes import FunctionDef, TranslationUnit
+from repro.obs import span
 
 
 @dataclass(eq=False)
@@ -43,8 +44,10 @@ class Program:
             virtual_headers=virtual_headers,
             predefined=predefined,
         )
-        cfgs = build_all_cfgs(unit)
-        call_graph = build_call_graph(unit, cfgs)
+        with span("cfg.build"):
+            cfgs = build_all_cfgs(unit)
+        with span("callgraph.build"):
+            call_graph = build_call_graph(unit, cfgs)
         return cls(
             unit=unit,
             cfgs=cfgs,

@@ -214,7 +214,6 @@ class ServeApp:
         incoming = parse_traceparent(headers.get("traceparent", ""))
         trace_id = incoming[0] if incoming else new_trace_id()
         rtx = _RequestTrace(trace_id, new_span_id())
-        clock = time.perf_counter()
         with request_buffer(trace_id) as buffer:
             with span(
                 "serve.request",
@@ -247,7 +246,10 @@ class ServeApp:
                     response = _json_response(
                         404, {"error": f"no route {route!r}"}
                     )
-        elapsed_ms = (time.perf_counter() - clock) * 1000.0
+        # Inside a request buffer the span is always real: its duration
+        # is the request latency the log, the record and the histogram
+        # report.
+        elapsed_ms = request_span.seconds * 1000.0
         status = response.status
         incr(f"serve.responses{{code={status},tenant={tenant}}}")
         if status >= 500:

@@ -264,10 +264,6 @@ class RunningServer:
     _box: dict
 
     @property
-    def base_url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    @property
     def drained(self) -> Optional[bool]:
         """Drain verdict after shutdown (None while still serving)."""
         return self._box.get("drained")

@@ -57,16 +57,6 @@ class TestMetrics:
             "samples": [2.0, 5.0, 1.0],
         }
 
-    def test_histogram_sums_by_prefix(self):
-        obs.observe("stage.parse", 1.0)
-        obs.observe("stage.parse", 2.0)
-        obs.observe("stage.lower", 4.0)
-        obs.incr("stage.unrelated_counter")
-        assert obs.histogram_sums("stage.") == {
-            "parse": 3.0,
-            "lower": 4.0,
-        }
-
     def test_delta_reports_only_changes(self):
         obs.incr("before", 2)
         obs.observe("h", 1.0)
@@ -384,14 +374,6 @@ class TestRenderOrdering:
         obs.observe("x.two", 1.0)
         obs.incr("x.one")
         assert obs.render_metrics() == first
-
-    def test_histogram_sums_sorted_by_name(self):
-        obs.observe("stage.zeta", 1.0)
-        obs.observe("stage.alpha", 2.0)
-        obs.observe("stage.mid", 3.0)
-        assert list(obs.histogram_sums("stage.")) == [
-            "alpha", "mid", "zeta",
-        ]
 
 
 class TestCompiledBackendExport:

@@ -22,6 +22,7 @@ from repro.analysis.session import AnalysisSession, session_for_suite
 from repro.cli import main
 from repro.obs import counter_value, render_prometheus
 from repro.obs import ledger
+from repro.obs.flight import find_span
 from repro.program import Program
 from repro.serve import (
     RequestError,
@@ -944,6 +945,17 @@ class TestTracing:
             child["name"] == "serve.analyze"
             for child in batch["children"]
         )
+        # A fresh daemon's pool misses, and the parse splits into the
+        # layers the benchmark's traced table names.
+        parse = find_span(record["spans"], "serve.parse")
+        assert parse is not None
+        assert {
+            "frontend.preprocess",
+            "frontend.lex",
+            "frontend.parse",
+            "cfg.build",
+            "callgraph.build",
+        } <= _span_names(parse["children"])
         # Scheduling attributes are lifted onto the record.
         assert record["queue_wait_ms"] is not None
         assert isinstance(record["pool_shard"], int)
