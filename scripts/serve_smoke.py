@@ -12,7 +12,8 @@ structured-400 path), and checks ``/metrics``: every repeat request
 after the first for its source must be a pool hit or join an
 in-flight job, and per-tenant counters must show.  Hostile sources
 (nesting and macro-expansion bombs, non-ASCII identifiers and digits)
-must each get a structured 400 with no internal error counted.  It
+must each get a structured 400 within two seconds, with no internal
+error counted.  It
 then exercises the observability surface: a W3C ``traceparent``
 round-trip, flight-recorder retention of injected errors
 (``/debug/traces?kind=errors``), span trees on ``/debug/slow``, and an
@@ -60,8 +61,12 @@ POOL_ROUNDS = 2
 
 MALFORMED = "int main( { return 0 }\n"
 
+#: Seconds a hostile source may take to be rejected.
+HOSTILE_DEADLINE_S = 2.0
+
 #: Sources past the frontend's input rules: each must be a 400 with a
-#: location, never a 500.
+#: location, never a 500, and within HOSTILE_DEADLINE_S, so a budget
+#: that stopped bounding the work cannot pass as a slow 400.
 HOSTILE = [
     (
         "parentheses",
@@ -73,6 +78,13 @@ HOSTILE = [
         "#define A x+x+x+x\n#define B A+A+A+A\n#define C B+B+B+B\n"
         "#define D C+C+C+C\n#define E D+D+D+D\n#define F E+E+E+E\n"
         "#define G F+F+F+F\nint f(int x) { return G; }\n",
+    ),
+    (
+        "expansion_chain",
+        "#define A x+x+x+x\n#define B A+A+A+A\n#define C B+B+B+B\n"
+        "#define D C+C+C+C\n#define E D+D+D+D\n#define F E+E+E+E\n"
+        "#define G F+F+F+F\n#define H G+G+G+G\n#define I H+H+H+H\n"
+        "#define J I+I+I+I\nint f(int x) { return J; }\n",
     ),
     ("identifier", "int café = 1;\nint main(void) { return 0; }\n"),
     ("digit", "int x;\nint main(void) { x = ²; return x; }\n"),
@@ -289,14 +301,17 @@ def main() -> int:
                 needle in metrics, f"per-tenant counters ({needle})"
             )
         for label, source in HOSTILE:
+            clock = time.perf_counter()
             response = probe.analyze(source, name=f"{label}.c")
+            elapsed = time.perf_counter() - clock
             payload = (
                 response.payload if isinstance(response.payload, dict) else {}
             )
             check(
                 response.status == 400
-                and {"file", "line", "col"} <= set(payload),
-                f"hostile {label} -> structured 400 (got "
+                and {"file", "line", "col"} <= set(payload)
+                and elapsed < HOSTILE_DEADLINE_S,
+                f"hostile {label} -> structured 400 in {elapsed:.2f}s (got "
                 f"{response.status}, {payload.get('error')!r})",
             )
         metrics = probe.metrics()

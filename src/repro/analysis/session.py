@@ -136,6 +136,19 @@ class AnalysisSession:
             program._analysis_session = session
         return session
 
+    def detach(self) -> None:
+        """Break the program ↔ session cycle :meth:`of` created.
+
+        A holder that is done with this session (the serving pool on
+        eviction) calls this so reference counting frees the program
+        and every memo as soon as the last reference goes, instead of
+        leaving them to a full cyclic collection.  Holders that still
+        have the session keep a working one: the ``program`` edge
+        stays.
+        """
+        if getattr(self.program, "_analysis_session", None) is self:
+            del self.program._analysis_session
+
     # ------------------------------------------------------------------
     # Predictor and transitions.
 

@@ -13,7 +13,10 @@ Supports the directives the benchmark suite needs:
 
 Macro expansion respects string and character literals and comments, and
 guards against self-recursive macros the standard way (a macro is not
-re-expanded while it is being expanded).  Identifiers follow the lexer's
+re-expanded while it is being expanded).  The characters substituted
+into one translation unit are charged against
+:data:`MAX_EXPANSION_CHARS`, so an expansion bomb is a
+:class:`PreprocessorError`, not a runaway.  Identifiers follow the lexer's
 ASCII rule, ``[A-Za-z_][A-Za-z0-9_]*``; every scan over text steps from
 one regex span (a literal, a comment, an identifier) to the next.
 
@@ -33,6 +36,16 @@ from repro.frontend.tokens import BINARY_PRECEDENCE, TokenKind
 _IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
 _IDENTIFIER_RE = re.compile(_IDENTIFIER)
 _MAX_EXPANSION_DEPTH = 64
+
+#: Characters macro substitution may insert into one translation unit
+#: (each substituted body counts once, before its rescan).  No suite
+#: program substitutes more than 146, and the largest preprocesses to
+#: 200 KB in all.  A chain of macros that each use the previous one
+#: several times grows geometrically per level: unbudgeted, ten levels
+#: of four take seconds and hundreds of megabytes before the parser
+#: rejects the result; with it they stop after about 37,000
+#: substitutions.
+MAX_EXPANSION_CHARS = 256 * 1024
 
 #: A whole string or character literal.  A quote that does not start
 #: one (no closing quote before the line ends) is matched on its own by
@@ -78,6 +91,7 @@ class Preprocessor:
         for name, body in (predefined or {}).items():
             self._macros[name] = Macro(name, body)
         self._include_stack: list[str] = []
+        self._expanded = 0
 
     # ------------------------------------------------------------------
     # Public API.
@@ -88,6 +102,7 @@ class Preprocessor:
 
     def preprocess(self, text: str, filename: str = "<input>") -> str:
         """Return the preprocessed form of ``text``."""
+        self._expanded = 0
         self._include_stack.append(filename)
         try:
             lines = self._process_lines(
@@ -336,6 +351,13 @@ class Preprocessor:
                 body = self._substitute_parameters(macro, arguments, location)
             else:
                 body = macro.body
+            self._expanded += len(body)
+            if self._expanded > MAX_EXPANSION_CHARS:
+                raise PreprocessorError(
+                    f"macro expansion exceeds {MAX_EXPANSION_CHARS} "
+                    "characters",
+                    location,
+                )
             result.append(
                 self._expand_line(body, location, hidden | {name}, depth + 1)
             )

@@ -479,6 +479,11 @@ class ServeApp:
             rtx.error = str(error)
             diagnostic = error.diagnostic_dict()
             diagnostic["trace_id"] = trace_id
+            # The traceback runs through this frame, ``wait_for``'s and
+            # the parser's, and the future holding the error: a cycle
+            # that would keep the partial parse alive until a full
+            # collection.
+            error.__traceback__ = None
             return _json_response(400, diagnostic)
         except Exception as error:  # noqa: BLE001 - boundary
             incr("serve.errors")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import gc
 import signal
 import threading
 from dataclasses import dataclass
@@ -223,6 +224,16 @@ def serve_forever(config: ServeConfig) -> int:
     status (0 on a clean drain)."""
     from repro.obs import ledger
 
+    # The pooled heap is acyclic (the pool detaches what it drops and
+    # rejected sources free by refcount), so a full collection walks
+    # every pooled session and finds nothing there to free; CPython's
+    # oldest threshold would run one at a steady rate once the heap
+    # stops growing.  Raise only that one: larger young thresholds make
+    # each young pass dearer.  Not higher than 100, since attribution
+    # requests still leave cycles behind (the compiled machine and the
+    # classes its code generator defines).
+    young, middle, _ = gc.get_threshold()
+    gc.set_threshold(young, middle, 100)
     app = ServeApp(config)
     app.started_at = ledger.now_iso()
 

@@ -13,16 +13,31 @@ Design:
 * **Shard-per-lock** — the key space is split across N shards, each an
   LRU ``OrderedDict`` behind its own mutex, so concurrent requests for
   different sources never serialize on one lock.
-* **Byte budget** — every entry is charged its source size; each shard
-  evicts least-recently-used entries once it exceeds its slice of the
-  budget.  Sessions memoize roughly in proportion to source size, so
-  source bytes are a stable, cheap cost proxy.
+* **Memory budget** — every entry is charged an estimate of the memory
+  its session retains once a report is built:
+  :data:`RETAINED_BYTES_PER_NODE` times the program's AST node count
+  (one ``walk()`` at insert).  Retained memory tracks nodes, not source
+  bytes: bytes per source byte range from 34 on the suite to over 200
+  on dense expression code, bytes per node stay within a factor of
+  two (``tests/test_serve.py`` checks the constant with tracemalloc).
+  Each shard evicts least-recently-used entries once it exceeds its
+  slice of the budget; a session that alone exceeds a slice is served
+  unpooled.
+* **Freed by reference counting** — a session and its program form a
+  cycle (:meth:`AnalysisSession.of`), so the pool
+  :meth:`~AnalysisSession.detach`\\ es every session it drops (evicted,
+  cleared, or the loser of an insert race), outside the shard lock.
+  Nothing the pool lets go of waits for a full cyclic collection, and
+  the pooled heap holds no garbage for one to find.  A request still
+  reporting on an evicted session keeps a working session; registry
+  code paths then re-derive its memo on a fresh one.
 * **Miss races are benign** — two threads missing the same key both
   parse; the second insert finds the first and adopts it (counted as
   ``serve.pool.races``), so a key never holds two live sessions.
 
 Counters: ``serve.pool.hits`` / ``misses`` / ``evictions`` /
-``races``; gauges ``serve.pool.entries`` / ``serve.pool.bytes``.
+``races``; gauges ``serve.pool.entries`` / ``serve.pool.bytes`` (the
+retained-memory estimate).
 """
 
 from __future__ import annotations
@@ -36,9 +51,14 @@ from repro.obs import current_span, incr, set_gauge, span
 from repro.program import Program
 from repro.serve.report import content_hash
 
-#: Defaults: 64 MiB of source across 8 shards.
+#: Defaults: 64 MiB of retained memory across 8 shards.
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 DEFAULT_SHARDS = 8
+
+#: Memory a pooled session retains per AST node once its default report
+#: is built (tracemalloc: 210-370 bytes across the suite, suite XL and
+#: dense expression code).
+RETAINED_BYTES_PER_NODE = 300
 
 
 @dataclass
@@ -57,7 +77,7 @@ class _Shard:
 
 
 class SessionPool:
-    """Content-addressed, sharded, byte-budgeted session cache."""
+    """Content-addressed, sharded, memory-budgeted session cache."""
 
     def __init__(
         self,
@@ -101,7 +121,14 @@ class SessionPool:
         with span("serve.parse", program=name):
             program = Program.from_source(source, name)
         session = AnalysisSession.of(program)
-        cost = len(source.encode("utf-8"))
+        cost = RETAINED_BYTES_PER_NODE * sum(1 for _ in program.unit.walk())
+        if cost > self._shard_budget:
+            # Pooling it would evict the whole shard and still overrun
+            # the budget.  It stays attached to its program, since the
+            # report reaches it through registry code paths too, so the
+            # collector frees it after the request.
+            return session, False
+        dropped: list[AnalysisSession] = []
         with shard.lock:
             racing = shard.entries.get(key)
             if racing is not None:
@@ -109,13 +136,17 @@ class SessionPool:
                 # its session so per-key memoization stays single.
                 shard.entries.move_to_end(key)
                 incr("serve.pool.races")
-                return racing.session, False
-            shard.entries[key] = _Entry(session, cost)
-            shard.bytes += cost
-            while shard.bytes > self._shard_budget and len(shard.entries) > 1:
-                _, evicted = shard.entries.popitem(last=False)
-                shard.bytes -= evicted.cost
-                incr("serve.pool.evictions")
+                dropped.append(session)
+                session = racing.session
+            else:
+                shard.entries[key] = _Entry(session, cost)
+                shard.bytes += cost
+                while shard.bytes > self._shard_budget:
+                    _, evicted = shard.entries.popitem(last=False)
+                    shard.bytes -= evicted.cost
+                    dropped.append(evicted.session)
+                    incr("serve.pool.evictions")
+        _release(dropped)
         self._publish_gauges()
         return session, False
 
@@ -143,16 +174,27 @@ class SessionPool:
 
     def clear(self) -> int:
         """Drop every entry; returns how many were removed."""
-        removed = 0
+        dropped: list[AnalysisSession] = []
         for shard in self._shards:
             with shard.lock:
-                removed += len(shard.entries)
+                dropped.extend(
+                    entry.session for entry in shard.entries.values()
+                )
                 shard.entries.clear()
                 shard.bytes = 0
+        _release(dropped)
         self._publish_gauges()
-        return removed
+        return len(dropped)
 
     def _publish_gauges(self) -> None:
         stats = self.stats()
         set_gauge("serve.pool.entries", stats["entries"])
         set_gauge("serve.pool.bytes", stats["bytes"])
+
+
+def _release(sessions: list[AnalysisSession]) -> None:
+    """Detach dropped sessions so each frees when its last user lets
+    go; called with no shard lock held, since freeing a large session
+    takes milliseconds."""
+    for session in sessions:
+        session.detach()

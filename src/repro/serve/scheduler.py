@@ -141,3 +141,7 @@ class SingleFlight:
                 waiter.set_exception(error)
             else:
                 waiter.set_result(done.result())
+        # A failed job's traceback holds the frame of ``_Flight.run``,
+        # hence the flight and, through this list, the futures holding
+        # that traceback: let go so the rejected work frees by refcount.
+        flight.waiters.clear()

@@ -12,6 +12,7 @@ are a :class:`LexError` at the character, never a crash.
 from __future__ import annotations
 
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -20,8 +21,9 @@ import pytest
 
 from repro.analysis.session import AnalysisSession
 from repro.frontend import compile_source
-from repro.frontend.errors import LexError, ParseError
+from repro.frontend.errors import LexError, ParseError, PreprocessorError
 from repro.frontend.parser import MAX_NESTING
+from repro.frontend.preprocessor import MAX_EXPANSION_CHARS
 from repro.program import Program
 from repro.serve import (
     ServeClient,
@@ -197,21 +199,50 @@ MACRO_BOMB = (
     "int f(int x) { return G; }\n"
 )
 
+#: Three more levels: about a million ``x``, past the preprocessor's
+#: output budget long before the parser would see it.
+EXPANSION_CHAIN = MACRO_BOMB.replace(
+    "int f(int x) { return G; }\n",
+    "#define H G+G+G+G\n"
+    "#define I H+H+H+H\n"
+    "#define J I+I+I+I\n"
+    "int f(int x) { return J; }\n",
+)
+
 HOSTILE = {
     "parentheses": "int f(int x) { return " + "(" * 200 + "x"
     + ")" * 200 + "; }\n",
     "flat_sum": "int f(int x) { return x" + "+x" * 4999 + "; }\n",
     "macro_bomb": MACRO_BOMB,
+    "expansion_chain": EXPANSION_CHAIN,
     "identifier": "int café = 1;\nint main(void) { return 0; }\n",
     "digit": "int x;\nint main(void) { x = ²; return x; }\n",
+}
+
+#: The error each hostile source raises (otherwise a ParseError).
+HOSTILE_ERRORS = {
+    "expansion_chain": PreprocessorError,
+    "identifier": LexError,
+    "digit": LexError,
 }
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE))
 def test_hostile_source_is_a_frontend_error(name, default_recursion_limit):
-    expected = LexError if name in ("identifier", "digit") else ParseError
+    expected = HOSTILE_ERRORS.get(name, ParseError)
     with pytest.raises(expected):
         _on_fresh_thread(lambda: Program.from_source(HOSTILE[name], name))
+
+
+def test_expansion_chain_stops_at_the_output_budget():
+    clock = time.perf_counter()
+    with pytest.raises(PreprocessorError) as info:
+        Program.from_source(EXPANSION_CHAIN, "chain.c")
+    assert time.perf_counter() - clock < 1.0
+    assert info.value.message == (
+        f"macro expansion exceeds {MAX_EXPANSION_CHARS} characters"
+    )
+    assert str(info.value.location) == "chain.c:11:1"
 
 
 def test_non_ascii_identifier_is_a_lex_error_at_the_character():

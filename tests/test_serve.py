@@ -9,10 +9,15 @@ per-tenant metrics, and the serving ledger record.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import sqlite3
 import threading
 import time
+import tracemalloc
+import types
+import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -20,6 +25,9 @@ import pytest
 import repro
 from repro.analysis.session import AnalysisSession, session_for_suite
 from repro.cli import main
+from repro.frontend.ast_nodes import Node
+from repro.frontend.errors import SourceLocation
+from repro.frontend.tokens import Token
 from repro.obs import counter_value, render_prometheus
 from repro.obs import ledger
 from repro.obs.flight import find_span
@@ -38,6 +46,7 @@ from repro.serve import (
     validate_request,
 )
 from repro.suite import known_program_names, load_program
+from repro.suite.registry import program_source
 
 #: A small program with branches, a loop, and a call — enough to give
 #: every report section non-trivial content.
@@ -67,6 +76,13 @@ BROKEN_SOURCE = "int main( { return 0; }"
 
 def _tiny_source(index: int) -> str:
     return f"int main() {{ return {index}; }}"
+
+
+def _charge(source: str) -> int:
+    """What a session pool charges for ``source``."""
+    pool = SessionPool(shards=1)
+    pool.get(source, "charge.c")
+    return pool.stats()["bytes"]
 
 
 def _normalize(report: dict) -> dict:
@@ -219,7 +235,7 @@ class TestSessionPool:
 
     def test_lru_eviction_respects_byte_budget(self):
         sources = [_tiny_source(index) for index in range(6)]
-        budget = len(sources[0].encode()) * 3 + 1
+        budget = _charge(sources[0]) * 3 + 1
         pool = SessionPool(max_bytes=budget, shards=1)
         for source in sources:
             pool.get(source, "tiny.c")
@@ -231,7 +247,7 @@ class TestSessionPool:
 
     def test_eviction_refreshes_on_hit(self):
         sources = [_tiny_source(index) for index in range(3)]
-        budget = len(sources[0].encode()) * 2 + 1
+        budget = _charge(sources[0]) * 2 + 1
         pool = SessionPool(max_bytes=budget, shards=1)
         pool.get(sources[0], "tiny.c")
         pool.get(sources[1], "tiny.c")
@@ -267,6 +283,170 @@ class TestSessionPool:
             SessionPool(shards=0)
         with pytest.raises(ValueError):
             SessionPool(max_bytes=0)
+
+    def test_oversize_session_is_served_unpooled(self):
+        pool = SessionPool(max_bytes=_charge(SOURCE) - 1, shards=1)
+        session, was_hit = pool.get(SOURCE, "big.c")
+        assert not was_hit
+        assert "main" in build_report(session)["functions"]
+        again, was_hit = pool.get(SOURCE, "big.c")
+        assert not was_hit
+        assert again is not session
+        assert not pool.peek(SOURCE)
+        assert pool.stats()["entries"] == 0
+        assert pool.stats()["bytes"] == 0
+
+    def test_evicted_session_frees_without_the_collector(self):
+        pool = SessionPool(max_bytes=_charge(SOURCE), shards=1)
+        session, _ = pool.get(SOURCE, "evicted.c")
+        build_report(session)  # memoize, as a served request does
+        program = weakref.ref(session.program)
+        del session
+        gc.disable()
+        try:
+            pool.get(_tiny_source(0), "tiny.c")
+            assert not pool.peek(SOURCE)
+            assert program() is None
+        finally:
+            gc.enable()
+
+    def test_clear_frees_without_the_collector(self):
+        pool = SessionPool()
+        session, _ = pool.get(SOURCE, "cleared.c")
+        program = weakref.ref(session.program)
+        del session
+        gc.disable()
+        try:
+            assert pool.clear() == 1
+            assert program() is None
+        finally:
+            gc.enable()
+
+
+#: Dense straight-line code: many AST nodes per source byte, the shape
+#: a source-byte charge under-counts most.
+DENSE_SOURCE = (
+    "int main(void) {\n    int a;\n    a = 1;\n"
+    + ("    a = a" + " + a" * 49 + ";\n") * 40
+    + "    return a;\n}\n"
+)
+
+
+class TestRetainedMemory:
+    """The pool's charge against what its sessions really hold, and
+    nothing the daemon drops left behind for the cyclic collector."""
+
+    @pytest.mark.parametrize(
+        "name", [*known_program_names(), "xl00", "xl16", "xl33", "dense"]
+    )
+    def test_charge_tracks_retained_memory(self, name):
+        source = DENSE_SOURCE if name == "dense" else program_source(name)
+        pool = SessionPool(shards=1)
+        tracemalloc.start()
+        try:
+            session, _ = pool.get(source, f"{name}.c")
+            build_report(session, name=f"{name}.c")
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            charge = pool.stats()["bytes"]
+            pool.clear()
+            del session
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 <= charge / retained <= 2, (charge, retained)
+
+    def test_daemon_leaves_no_cyclic_garbage(self):
+        """Misses that evict, a pool hit, a coalesced pair and a
+        rejected source, served with the collector paused: what they
+        drop frees by reference counting.  Python 3.12 leaves nothing
+        at all; 3.10 and 3.11 leave one self-referencing asyncio
+        transport per closed connection, which is not the daemon's."""
+        running = start_in_thread(ServeConfig(port=0, workers=2))
+        try:
+            running.app.pool = SessionPool(
+                max_bytes=2 * _charge(SOURCE), shards=1
+            )
+            client = ServeClient(
+                running.host, running.port, timeout=60, keep_alive=True
+            )
+            truncated = SOURCE[: SOURCE.index("total = total")]
+            # Warm every path once, so lazily built state is in place.
+            assert client.analyze(SOURCE, name="warm.c").status == 200
+            assert client.analyze(truncated, name="cut.c").status == 400
+            analyze = running.app._analyze
+
+            def held_analyze(request):
+                # Hold the owner until its twin is admitted, so the
+                # twin must join the flight.
+                deadline = time.monotonic() + 10.0
+                while (
+                    running.app.inflight < 2
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.001)
+                return analyze(request)
+
+            gc.collect()
+            gc.disable()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                evictions = counter_value("serve.pool.evictions")
+                for index in range(4):
+                    salted = SOURCE + f"/* edit {index} */\n"
+                    response = client.analyze(salted, name="edit.c")
+                    assert response.status == 200
+                assert counter_value("serve.pool.evictions") > evictions
+                repeat = client.analyze(salted, name="edit.c")
+                assert repeat.payload["server"]["cache"] == "hit"
+
+                coalesced = counter_value("serve.batch.coalesced")
+                running.app._analyze = held_analyze
+                twins: list[int] = []
+
+                def post():
+                    twins.append(
+                        ServeClient(running.host, running.port, timeout=60)
+                        .analyze(SOURCE + "/* twin */\n", name="twin.c")
+                        .status
+                    )
+
+                threads = [threading.Thread(target=post) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                running.app._analyze = analyze
+                assert twins == [200, 200]
+                assert counter_value("serve.batch.coalesced") == coalesced + 1
+
+                assert client.analyze(truncated, name="cut.c").status == 400
+                gc.collect()
+                garbage = list(gc.garbage)
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+                gc.enable()
+                client.close()
+            kept = Counter(
+                type(thing).__name__
+                for thing in garbage
+                if isinstance(
+                    thing,
+                    (
+                        Program,
+                        AnalysisSession,
+                        Node,
+                        Token,
+                        SourceLocation,
+                        types.FrameType,
+                    ),
+                )
+            )
+            assert not kept, kept.most_common(10)
+        finally:
+            running.shutdown()
 
 
 class TestConcurrentSessionReuse:
