@@ -8,9 +8,11 @@ session pool (``server.cache == "hit"``, and ``serve.pool.hits`` grows
 by at least the number of warm repeats) and the warm median latency
 must stay below the cold one.  It then fires a 64-way concurrent burst
 mixing repeat sources, novel sources, and one malformed source (the
-structured-400 path), and checks ``/metrics``: every repeat request
-after the first for its source must be a pool hit or join an
-in-flight job, and per-tenant counters must show.  Hostile sources
+structured-400 path): every 200 payload, minus its ``server`` block,
+must equal the in-process ``build_report`` for the same source.  It
+checks ``/metrics``: every repeat request after the first for its
+source must be a pool hit or join an in-flight job, and per-tenant
+counters must show.  Hostile sources
 (nesting and macro-expansion bombs, non-ASCII identifiers and digits)
 must each get a structured 400 within two seconds, with no internal
 error counted.  It
@@ -45,7 +47,8 @@ sys.path.insert(
     os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"),
 )
 
-from repro.serve import ServeClient  # noqa: E402
+from repro.analysis.session import session_for_source  # noqa: E402
+from repro.serve import ServeClient, build_report  # noqa: E402
 
 #: Concurrent clients in the burst (the acceptance floor).
 CONCURRENCY = 64
@@ -214,6 +217,7 @@ def main() -> int:
         # Burst: repeat + novel + one malformed source, two tenants.
         statuses: list[int] = []
         latencies: list[float] = []
+        answers: list[tuple[str, str, dict]] = []
         malformed: list[tuple[int, dict | None]] = []
         lock = threading.Lock()
         barrier = threading.Barrier(CONCURRENCY)
@@ -243,6 +247,8 @@ def main() -> int:
                 with lock:
                     statuses.append(response.status)
                     latencies.append(elapsed)
+                    if response.status == 200:
+                        answers.append((source, name, response.payload))
 
         threads = [
             threading.Thread(target=client_main, args=(worker,))
@@ -272,6 +278,25 @@ def main() -> int:
             },
             f"malformed source -> structured 400 (got {status}, "
             f"{payload})",
+        )
+        # Concurrent workers must answer exactly as one serial,
+        # in-process analysis of the same source does.
+        expected: dict[tuple[str, str], dict] = {}
+        mismatched: list[str] = []
+        for source, name, served in answers:
+            if (source, name) not in expected:
+                report = build_report(
+                    session_for_source(source, name), name=name
+                )
+                expected[source, name] = json.loads(json.dumps(report))
+            served = {k: v for k, v in served.items() if k != "server"}
+            if served != expected[source, name]:
+                mismatched.append(name)
+        check(
+            bool(answers) and not mismatched,
+            f"burst answers match in-process build_report "
+            f"({len(answers) - len(mismatched)}/{len(answers)} payloads, "
+            f"{len(expected)} sources; mismatched: {mismatched[:5]})",
         )
 
         # ------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The shared static-analysis engine.
 
 Every consumer of static estimates — the experiment harness, the CLI,
-the benchmarks — talks to a per-program :class:`AnalysisSession`
+the daemon — talks to a per-program :class:`AnalysisSession`
 (:mod:`repro.analysis.session`), which computes each analysis artifact
 (branch predictions, per-block transition probabilities, intra
 estimates, call-graph invocation estimates, call-site frequencies)

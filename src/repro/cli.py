@@ -55,8 +55,9 @@ wall-clock profiler (:mod:`repro.obs.profiler`) and writes a
 flamegraph SVG plus collapsed stacks (``REPRO_PROFILE_FILE``, default
 ``repro-profile.svg``).
 
-Every ``run``/``run all``/``fuzz run`` invocation (and the benchmark
-harness) appends one run to the persistent ledger
+Every ``run``/``run all``/``fuzz run`` invocation (and every
+``--record`` of ``profile-suite``, ``explain`` or ``serve``) appends one
+run to the persistent ledger
 (:mod:`repro.obs.ledger`; ``REPRO_LEDGER=0`` disables,
 ``REPRO_LEDGER_DIR`` relocates); ``repro history``, ``repro compare``,
 and ``repro report`` read it back.

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 #: Version of the lowering scheme.  Bump whenever generated code for
 #: the same source would change (new lowering rules, changed runtime
-#: helpers, changed factory protocol); stale codegen cache entries are
-#: invalidated exactly like ``INTERP_VERSION`` invalidates profiles.
-COMPILE_VERSION = 1
+#: helpers, changed factory protocol) or when stored code may be wrong;
+#: stale codegen cache entries are invalidated exactly like
+#: ``INTERP_VERSION`` invalidates profiles.
+COMPILE_VERSION = 2
 
 from repro.compile.backend import (  # noqa: E402
     BACKENDS,

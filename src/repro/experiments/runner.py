@@ -1,7 +1,7 @@
 """Registry mapping experiment names to runnable entry points.
 
 Every table and figure in the paper's evaluation has an entry here;
-the CLI and the benchmark harness both dispatch through this table.
+the CLI and the golden-output tests both dispatch through this table.
 
 ``run_all`` first warms every suite profile through the parallel cached
 pipeline, then runs the experiments themselves — serially with

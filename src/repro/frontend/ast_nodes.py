@@ -7,28 +7,41 @@ pointer heuristic needs to know that a comparison's operand is a pointer.
 
 Every node carries a :class:`SourceLocation` and a ``node_id`` unique
 within its translation unit, used to key CFG blocks and profile events
-back to syntax.  The counter restarts at every translation unit (see
-:func:`reset_node_counter`), so ids are a pure function of the source
-text — required for profiles cached on disk or computed in worker
-processes to mean the same thing everywhere.
+back to syntax.  Each thread numbers nodes from its own counter, which
+every parse restarts (see :data:`NODE_IDS`), so ids are a pure function
+of the source text — required for profiles cached on disk or computed
+in worker processes to mean the same thing everywhere, and for parses
+running at once on a daemon's worker threads.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.frontend.ctypes import CType, FunctionType
 from repro.frontend.errors import SourceLocation
 
-_node_counter = itertools.count(1)
+
+class _NodeIds(threading.local):
+    """Node numbering, one counter per thread.
+
+    A thread that has never parsed still starts at 1; nodes built
+    after a parse (the CFG builder's synthetic statements) continue
+    that parse's count.
+    """
+
+    def __init__(self) -> None:
+        self.restart()
+
+    def restart(self) -> None:
+        """Number the next node 1 (called at the start of each parse)."""
+        self.count = itertools.count(1)
 
 
-def reset_node_counter() -> None:
-    """Restart node numbering (called at the start of each parse)."""
-    global _node_counter
-    _node_counter = itertools.count(1)
+NODE_IDS = _NodeIds()
 
 
 @dataclass
@@ -38,7 +51,7 @@ class Node:
     location: SourceLocation = field(
         default_factory=SourceLocation, repr=False
     )
-    node_id: int = field(default_factory=lambda: next(_node_counter))
+    node_id: int = field(default_factory=lambda: next(NODE_IDS.count))
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes; default is no children."""

@@ -1372,10 +1372,10 @@ def parse(
 ) -> ast.TranslationUnit:
     """Parse preprocessed C text into a translation unit.
 
-    Node ids restart at 1 for every unit, making them (and everything
-    keyed by them — call-site profile counts in particular) a pure
-    function of the source text, stable across processes and cache
-    round trips.
+    Node ids restart at 1 for every unit, on the calling thread's own
+    counter, making them (and everything keyed by them — call-site
+    profile counts in particular) a pure function of the source text,
+    stable across processes, threads and cache round trips.
     """
-    ast.reset_node_counter()
+    ast.NODE_IDS.restart()
     return Parser(text, filename, builtin_functions).parse()

@@ -4,7 +4,7 @@ The rest of :mod:`repro.obs` observes a *single* invocation — spans and
 metrics evaporate when the process exits (apart from the last stats
 snapshot).  The ledger is the cross-run layer: an append-only SQLite
 database that records one row per ``repro run``/``run all``, ``fuzz
-run``, or benchmark invocation, plus the run's *actual accuracy
+run``, or ``--record``ed command, plus the run's *actual accuracy
 numbers* (weight-matching scores per estimator and cutoff, branch-miss
 rates, selective-optimization payoffs), its stage wall-times (derived
 from the span tree), and its metric counters (cache traffic, solver
@@ -33,7 +33,7 @@ Environment knobs:
 
 Concurrency: every append runs inside one ``BEGIN IMMEDIATE``
 transaction with a generous busy timeout, so parallel processes (two
-CI shards, a fuzz run racing a benchmark) interleave whole runs rather
+CI shards, a fuzz run racing a ``run all``) interleave whole runs rather
 than corrupting each other.
 
 Comparison semantics are *drift detection*, not "higher is better":

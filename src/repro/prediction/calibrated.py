@@ -21,8 +21,8 @@ implements that design on our idiom set:
 
       p = p1*p2 / (p1*p2 + (1-p1)(1-p2))
 
-The extension benchmark (``benchmarks/test_bench_extension_calibrated``)
-measures whether this closes the gap the paper observed.
+``tests/test_paper_claims.py::test_extension_calibrated_markov`` checks
+whether this closes the gap the paper observed.
 """
 
 from __future__ import annotations

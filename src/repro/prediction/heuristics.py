@@ -72,7 +72,7 @@ DEFAULT_LOOP_ITERATIONS = 5
 
 
 class HeuristicSettings:
-    """Tunable knobs, exposed for the ablation benchmarks.
+    """Tunable knobs, exposed for the ablation tests.
 
     ``error_functions`` is the set of noreturn error functions the
     error-call idiom recognizes; pass the program-specific transitive

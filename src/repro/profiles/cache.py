@@ -1,8 +1,8 @@
 """Persistent on-disk profile cache.
 
 Profiling is the expensive step every experiment shares: re-interpreting
-the 14-program suite takes tens of seconds, and the CLI, the pytest
-tier, and the benchmark harness each used to pay it from scratch.  This
+the 14-program suite takes tens of seconds, and the CLI and the
+pytest tier each used to pay it from scratch.  This
 module stores one JSON file per (program source, input text) pair at
 the root of the shared store (:mod:`repro.store`), so a source or input
 edit invalidates exactly the entries it affects.

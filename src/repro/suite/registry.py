@@ -312,7 +312,7 @@ def profile_for_input(
 
     On a cache hit the interpreter never runs; on a miss the program is
     interpreted and the resulting profile stored for every later
-    consumer (CLI, pytest, benchmarks).
+    consumer (CLI, pytest).
     """
     if use_cache is None:
         use_cache = store.enabled()

@@ -14,6 +14,7 @@ from repro.analysis.session import (
 from repro.estimators.base import intra_estimates
 from repro.estimators.inter.markov import markov_invocations
 from repro.estimators.intra.astwalk import smart_estimator
+from repro.obs import counter_value
 from repro.program import Program
 
 SOURCE = """\
@@ -169,6 +170,21 @@ class TestStageSpans:
             "analysis.transitions"
         }
 
+        # Every query kind, asked twice: the second round is all memo
+        # hits and computes nothing, so it opens no stage span.
+        def query_all():
+            session.intra_estimates("smart")
+            session.intra_estimates("markov")
+            session.invocations("markov", "smart")
+            session.call_site_frequencies("markov", "smart")
+
+        query_all()
+        hits = session.stats.hits
+        with forced_tracing(), span("test-root") as again:
+            query_all()
+        assert again.children == []
+        assert session.stats.hits == hits + 4
+
 
 class TestDiskLayer:
     @pytest.fixture(autouse=True)
@@ -186,9 +202,11 @@ class TestDiskLayer:
         fresh = AnalysisSession(
             Program.from_source(SOURCE, "<session-test>")
         )
+        hits = counter_value("analysis_cache.hits")
         assert fresh.intra_estimates("smart") == estimates
         assert fresh.invocations("markov", "smart") == invocations
         assert fresh.stats.disk_hits == 2
+        assert counter_value("analysis_cache.hits") == hits + 2
         # Block ids must come back as ints, not JSON string keys.
         assert all(
             isinstance(block_id, int)

@@ -92,9 +92,10 @@ def test_suite_program_parity(name):
         name, stdin, "input1", backend="compiled"
     )
     assert _fingerprint(interp) == _fingerprint(compiled)
+    assert not compile_program(registry.load_program(name)).fallback
 
 
-@pytest.mark.parametrize("name", ["xl00", "xl23", "xl49"])
+@pytest.mark.parametrize("name", ["xl00", "xl23", "xl33", "xl49"])
 def test_suite_xl_parity(name):
     interp = registry.run_on_input(name, "", "input1", backend="interp")
     compiled = registry.run_on_input(name, "", "input1", backend="compiled")
@@ -443,7 +444,8 @@ def test_oracle_detects_profile_divergence():
 
 def test_compile_metrics_and_spans(monkeypatch, tmp_path):
     """The obs layer sees codegen: compile.* spans under tracing and
-    compile.* counters in the metrics registry."""
+    compile.* counters in the metrics registry.  A warm codegen cache
+    skips lowering altogether."""
     from repro.obs import (
         forced_tracing,
         metrics_delta,
@@ -473,3 +475,46 @@ def test_compile_metrics_and_spans(monkeypatch, tmp_path):
     assert delta.get("compile.functions", {}).get("value", 0) >= 1
     assert "compile.source_bytes" in delta
     assert "compile.cache.stores" in delta
+    assert "compile.cache.misses" in delta
+
+    # The same source in a fresh program (a later process, in effect)
+    # loads the stored code: one hit, no miss, and nothing lowered.
+    import repro.compile.lower
+
+    def no_lowering(program):
+        raise AssertionError(f"{program.name} was lowered again")
+
+    monkeypatch.setattr(repro.compile.lower, "lower_program", no_lowering)
+    before = metrics_snapshot()
+    again = Program.from_source(program.source, "<obs-compile>")
+    assert run_program_backend(again, backend="compiled").status == 0
+    delta = metrics_delta(before)
+    assert delta.get("compile.cache.hits", {}).get("value", 0) == 1
+    assert "compile.cache.misses" not in delta
+
+
+def test_lowering_leaves_no_cyclic_garbage():
+    """Lowering allocates nothing that only the cyclic collector frees:
+    codegen runs on every cold profile and every attribution request."""
+    import gc
+    from collections import Counter
+
+    from repro.compile.lower import lower_program
+
+    program = registry.load_program("compress")
+    # Until nothing is found: freeing one cycle can orphan another
+    # (an earlier test's generated-module namespace, say).
+    while gc.collect():
+        pass
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        lowered = lower_program(program)
+        gc.collect()
+        garbage = Counter(type(item).__name__ for item in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert lowered.source
+    assert not garbage, garbage.most_common(5)

@@ -1,5 +1,8 @@
 """Unit tests for the parser and expression typing."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.frontend import ast_nodes as ast
@@ -452,3 +455,60 @@ class TestCompileSource:
         unit = compile_source("int a(void){return 0;}")
         with pytest.raises(KeyError):
             unit.function("nope")
+
+
+class TestNodeIds:
+    """Node ids are per parse, so a daemon's worker threads parsing at
+    once must number every unit exactly as a serial parse does."""
+
+    @staticmethod
+    def _ids(unit):
+        return [node.node_id for node in unit.walk()]
+
+    def test_concurrent_parses_match_serial_parses(self):
+        from repro.frontend.preprocessor import preprocess
+        from repro.suite.registry import program_source
+
+        # More threads than cores, switching often: two parses of each.
+        names = ("cc", "gs", "cc", "gs")
+        texts = {
+            name: preprocess(program_source(name), name) for name in names
+        }
+        serial = {name: self._ids(parse(text)) for name, text in texts.items()}
+        for ids in serial.values():
+            assert len(set(ids)) == len(ids)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for trial in range(10):
+                barrier = threading.Barrier(len(names))
+                results = [None] * len(names)
+
+                def worker(index):
+                    barrier.wait()
+                    results[index] = self._ids(parse(texts[names[index]]))
+
+                threads = [
+                    threading.Thread(target=worker, args=(index,))
+                    for index in range(len(names))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                for name, ids in zip(names, results):
+                    assert len(set(ids)) == len(ids), (trial, name)
+                    assert ids == serial[name], (trial, name)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_fresh_thread_numbers_from_one(self):
+        parse("int a; int b; int c;")
+        ids = []
+        thread = threading.Thread(
+            target=lambda: ids.append(ast.IntLiteral().node_id)
+        )
+        thread.start()
+        thread.join(timeout=60)
+        assert ids == [1]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import run_all
 from repro.interp.machine import Machine
+from repro.obs import counter_value
 from repro.profiles import (
     Profile,
     dumps_profile,
@@ -179,6 +180,10 @@ class TestWarmCacheSkipsInterpretation:
             return original(self)
 
         monkeypatch.setattr(Machine, "run", counting_run)
+        hits = counter_value("profile_cache.hits")
+        misses = counter_value("profile_cache.misses")
         output = run_all()
         assert "figure2" in output and "figure10" in output
         assert calls == []
+        assert counter_value("profile_cache.hits") > hits
+        assert counter_value("profile_cache.misses") == misses

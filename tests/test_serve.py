@@ -936,19 +936,50 @@ async def _call(function):
 # Byte-equivalence with the CLI pipeline on the paper's base programs.
 
 
+#: Programs the concurrent pass also asks for attribution, which runs
+#: them on the compiled backend (codegen indexes nodes by id).
+ATTRIBUTED = ("cc", "gs")
+
+
 class TestSuiteEquivalence:
-    def test_served_reports_match_in_process_reports(self):
+    @staticmethod
+    def _post_suite(concurrent: bool) -> dict:
+        """Post every base program to a fresh daemon, one at a time or
+        all at once behind a barrier; returns name -> response."""
+        names = known_program_names("base")
         running = start_in_thread(ServeConfig(port=0, workers=4))
         try:
-            client = ServeClient(
-                running.host, running.port, timeout=120
-            )
-            client.wait_ready()
-            for name in known_program_names("base"):
+            ServeClient(running.host, running.port).wait_ready()
+            barrier = threading.Barrier(len(names) if concurrent else 1)
+
+            def post(name: str):
+                client = ServeClient(
+                    running.host, running.port, timeout=120
+                )
                 source = load_program(name).source
                 assert source, f"{name} has no source text"
-                response = client.analyze(source, name=name)
-                assert response.status == 200, (name, response.text)
+                barrier.wait()
+                return client.analyze(
+                    source,
+                    name=name,
+                    attribution=concurrent and name in ATTRIBUTED,
+                )
+
+            if concurrent:
+                with ThreadPoolExecutor(len(names)) as executor:
+                    responses = list(executor.map(post, names))
+            else:
+                responses = [post(name) for name in names]
+        finally:
+            running.shutdown()
+        return dict(zip(names, responses))
+
+    def test_served_reports_match_in_process_reports(self):
+        for concurrent in (False, True):
+            responses = self._post_suite(concurrent)
+            for name, response in responses.items():
+                label = (name, "concurrent" if concurrent else "serial")
+                assert response.status == 200, (label, response.text)
                 served = dict(response.payload)
                 server_block = served.pop("server")
                 assert set(server_block) == {
@@ -958,12 +989,12 @@ class TestSuiteEquivalence:
                 }
                 direct = _normalize(
                     build_report(
-                        session_for_suite(name), name=name
+                        session_for_suite(name),
+                        name=name,
+                        attribution=concurrent and name in ATTRIBUTED,
                     )
                 )
-                assert served == direct, name
-        finally:
-            running.shutdown()
+                assert served == direct, label
 
 
 # ----------------------------------------------------------------------

@@ -365,7 +365,7 @@ PINNED_KEYS = {
     ),
     "codegen": (
         lambda: codegen_cache.codegen_cache_key(_SOURCE),
-        "38064e6481e72d77a32d2e77f81c6c7cab7431110132fbbe3fbce1e8af4aafa6",
+        "925aaea4ee20b4ae9017148bb88e2cc74c1a107e72ac5a8b4118ed331585556d",
     ),
     "attribution": (
         lambda: attribution_cache.attribution_cache_key(

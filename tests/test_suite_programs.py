@@ -43,6 +43,8 @@ def test_program_runs_cleanly_on_first_input(name):
 
 def test_suite_has_fourteen_programs():
     assert len(SUITE) == 14
+    blocks = sum(load_program(entry.name).block_count() for entry in SUITE)
+    assert blocks > 1000
 
 
 def test_every_entry_has_source_and_description():
